@@ -47,12 +47,12 @@ def measured_abc(
             ROB-only optimization only applies there).
     """
     if not out_of_order:
-        return result.total_ace_bit_cycles - result.ace_bit_cycles.get(
-            StructureKind.REGISTER_FILE, 0.0
+        return result.total_ace_bit_cycles - result.ace_of(
+            StructureKind.REGISTER_FILE
         )
     if mode == AceCounterMode.FULL:
         return result.total_ace_bit_cycles
-    return result.ace_bit_cycles.get(StructureKind.ROB, 0.0)
+    return result.ace_of(StructureKind.ROB)
 
 
 class SaturatingCounter:

@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.batch.features import PhaseFeatures
 from repro.config.structures import StructureKind
-from repro.cores.mechanistic import PhaseAnalysis
+from repro.cores.mechanistic import (
+    BIG_STRUCTURES,
+    SMALL_STRUCTURES,
+    PhaseAnalysis,
+)
 
 #: Unified structure-column order of the batched ACE/occupancy arrays.
 STRUCTURE_COLUMNS: tuple[StructureKind, ...] = (
@@ -41,8 +45,8 @@ _ROB, _IQ, _LQ, _SQ, _RF, _FU, _PL = range(7)
 
 #: Dict key order of the scalar analyzers' ace/occupancy dicts, as
 #: column indices -- the fold order of ``sum(dict.values())``.
-BIG_KEY_COLUMNS = (_ROB, _IQ, _LQ, _SQ, _RF, _FU)
-SMALL_KEY_COLUMNS = (_PL, _IQ, _SQ, _RF, _FU)
+BIG_KEY_COLUMNS = tuple(_COL[kind] for kind in BIG_STRUCTURES)
+SMALL_KEY_COLUMNS = tuple(_COL[kind] for kind in SMALL_STRUCTURES)
 
 #: Per-regime constants of the big-core model (mechanistic.py).
 _IQ_FRACTION = {"base": 0.20, "fe": 0.10, "llc": 0.30, "mem": 0.30}

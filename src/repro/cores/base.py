@@ -16,7 +16,10 @@ ACE-bit counts*.  Two implementations exist:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from operator import add
+from types import MappingProxyType
 
 from repro.config.cores import CoreConfig
 from repro.config.structures import StructureKind
@@ -64,9 +67,14 @@ class MemoryEnvironment:
 ISOLATED = MemoryEnvironment()
 
 
-@dataclass
 class QuantumResult:
     """What a core reports after executing part of an application.
+
+    Per-structure quantities are stored densely: one tuple of structure
+    keys and, aligned with it, one tuple of values.  Mechanistic results
+    share their core type's key tuple (see
+    :data:`repro.cores.mechanistic.BIG_STRUCTURES`), so merging two of
+    them adds tuples element-wise instead of going through dicts.
 
     Attributes:
         instructions: committed (correct-path) instructions, including
@@ -75,8 +83,10 @@ class QuantumResult:
         ace_bit_cycles: per-structure ACE bit-cycles: the integral of
             ACE bits resident in each structure over the cycles.  This
             is what the paper's hardware ACE-bit counters accumulate.
+            A read-only view of ``ace_keys``/``ace``.
         occupancy_bit_cycles: per-structure *total* occupied bit-cycles
-            (ACE or not); used for occupancy diagnostics.
+            (ACE or not); used for occupancy diagnostics.  A read-only
+            view of ``occupancy_keys``/``occupancy``.
         memory_accesses: DRAM accesses issued (for bandwidth/power
             accounting).
         l3_accesses: L3 accesses issued (L2 misses).
@@ -85,17 +95,80 @@ class QuantumResult:
             counter-free ABC predictors).
     """
 
-    instructions: int
-    cycles: float
-    ace_bit_cycles: dict[StructureKind, float] = field(default_factory=dict)
-    occupancy_bit_cycles: dict[StructureKind, float] = field(default_factory=dict)
-    memory_accesses: float = 0.0
-    l3_accesses: float = 0.0
-    branch_mispredictions: float = 0.0
+    __slots__ = (
+        "instructions",
+        "cycles",
+        "ace_keys",
+        "ace",
+        "occupancy_keys",
+        "occupancy",
+        "memory_accesses",
+        "l3_accesses",
+        "branch_mispredictions",
+    )
+
+    def __init__(
+        self,
+        instructions: int,
+        cycles: float,
+        ace_bit_cycles: Mapping[StructureKind, float] | None = None,
+        occupancy_bit_cycles: Mapping[StructureKind, float] | None = None,
+        memory_accesses: float = 0.0,
+        l3_accesses: float = 0.0,
+        branch_mispredictions: float = 0.0,
+    ):
+        ace = ace_bit_cycles or {}
+        occupancy = occupancy_bit_cycles or {}
+        self.instructions = instructions
+        self.cycles = cycles
+        self.ace_keys = tuple(ace)
+        self.ace = tuple(ace.values())
+        self.occupancy_keys = tuple(occupancy)
+        self.occupancy = tuple(occupancy.values())
+        self.memory_accesses = memory_accesses
+        self.l3_accesses = l3_accesses
+        self.branch_mispredictions = branch_mispredictions
+
+    @classmethod
+    def dense(
+        cls,
+        instructions: int,
+        cycles: float,
+        keys: tuple[StructureKind, ...],
+        ace: tuple[float, ...],
+        occupancy: tuple[float, ...],
+        memory_accesses: float,
+        l3_accesses: float,
+        branch_mispredictions: float,
+    ) -> "QuantumResult":
+        """A result whose ACE and occupancy values share one key tuple."""
+        result = cls.__new__(cls)
+        result.instructions = instructions
+        result.cycles = cycles
+        result.ace_keys = result.occupancy_keys = keys
+        result.ace = ace
+        result.occupancy = occupancy
+        result.memory_accesses = memory_accesses
+        result.l3_accesses = l3_accesses
+        result.branch_mispredictions = branch_mispredictions
+        return result
+
+    @property
+    def ace_bit_cycles(self) -> Mapping[StructureKind, float]:
+        return MappingProxyType(dict(zip(self.ace_keys, self.ace)))
+
+    @property
+    def occupancy_bit_cycles(self) -> Mapping[StructureKind, float]:
+        return MappingProxyType(dict(zip(self.occupancy_keys, self.occupancy)))
+
+    def ace_of(self, kind: StructureKind) -> float:
+        """ACE bit-cycles of one structure (0.0 if it has none)."""
+        keys = self.ace_keys
+        return self.ace[keys.index(kind)] if kind in keys else 0.0
 
     @property
     def total_ace_bit_cycles(self) -> float:
-        return sum(self.ace_bit_cycles.values())
+        return sum(self.ace)
 
     @property
     def ipc(self) -> float:
@@ -112,26 +185,70 @@ class QuantumResult:
 
     def merged_with(self, other: "QuantumResult") -> "QuantumResult":
         """Accumulate another result into a combined one."""
-        ace = dict(self.ace_bit_cycles)
-        for kind, value in other.ace_bit_cycles.items():
-            ace[kind] = ace.get(kind, 0.0) + value
-        occ = dict(self.occupancy_bit_cycles)
-        for kind, value in other.occupancy_bit_cycles.items():
-            occ[kind] = occ.get(kind, 0.0) + value
-        return QuantumResult(
-            instructions=self.instructions + other.instructions,
-            cycles=self.cycles + other.cycles,
-            ace_bit_cycles=ace,
-            occupancy_bit_cycles=occ,
-            memory_accesses=self.memory_accesses + other.memory_accesses,
-            l3_accesses=self.l3_accesses + other.l3_accesses,
-            branch_mispredictions=self.branch_mispredictions
-            + other.branch_mispredictions,
+        result = QuantumResult.__new__(QuantumResult)
+        if not other.ace_keys and not other.occupancy_keys:
+            # Nothing to add (an idle chunk): keep this breakdown.
+            result.ace_keys, result.ace = self.ace_keys, self.ace
+            result.occupancy_keys = self.occupancy_keys
+            result.occupancy = self.occupancy
+        elif self.ace_keys == other.ace_keys and (
+            self.occupancy_keys == other.occupancy_keys
+        ):
+            result.ace_keys = self.ace_keys
+            result.ace = tuple(map(add, self.ace, other.ace))
+            result.occupancy_keys = self.occupancy_keys
+            result.occupancy = tuple(map(add, self.occupancy, other.occupancy))
+        else:
+            result = QuantumResult(
+                0,
+                0.0,
+                _added(self.ace_bit_cycles, other.ace_bit_cycles),
+                _added(self.occupancy_bit_cycles, other.occupancy_bit_cycles),
+            )
+        result.instructions = self.instructions + other.instructions
+        result.cycles = self.cycles + other.cycles
+        result.memory_accesses = self.memory_accesses + other.memory_accesses
+        result.l3_accesses = self.l3_accesses + other.l3_accesses
+        result.branch_mispredictions = (
+            self.branch_mispredictions + other.branch_mispredictions
         )
+        return result
+
+    def clipped(self, instructions: int) -> "QuantumResult":
+        """The first ``instructions`` of this result: every other
+        quantity scaled by the same fraction."""
+        scale = instructions / self.instructions
+        result = QuantumResult.__new__(QuantumResult)
+        result.instructions = instructions
+        result.cycles = self.cycles * scale
+        result.ace_keys = self.ace_keys
+        result.ace = tuple([v * scale for v in self.ace])
+        result.occupancy_keys = self.occupancy_keys
+        result.occupancy = tuple([v * scale for v in self.occupancy])
+        result.memory_accesses = self.memory_accesses * scale
+        result.l3_accesses = self.l3_accesses * scale
+        result.branch_mispredictions = self.branch_mispredictions * scale
+        return result
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"QuantumResult({fields})"
 
     @staticmethod
     def zero() -> "QuantumResult":
         return QuantumResult(instructions=0, cycles=0.0)
+
+
+def _added(
+    a: Mapping[StructureKind, float], b: Mapping[StructureKind, float]
+) -> dict[StructureKind, float]:
+    """Per-key sum of two breakdowns (``a``'s key order, then ``b``'s)."""
+    out = dict(a)
+    for kind, value in b.items():
+        out[kind] = out.get(kind, 0.0) + value
+    return out
 
 
 class CoreModel(abc.ABC):

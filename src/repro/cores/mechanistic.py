@@ -31,6 +31,7 @@ on the missing load (the mcf/libquantum effect) -- is modelled through
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -97,6 +98,24 @@ _SMALL_STORE_DRAIN = 3.0
 _SMALL_MLP = 1.0
 #: Live architectural-register fraction (shared model constant).
 _ARCH_REG_LIVE_FRACTION = ARCH_REG_LIVE_FRACTION
+
+#: Structures each core type's analyzer reports, in its key order (the
+#: order every per-structure sum folds in).
+BIG_STRUCTURES = (
+    StructureKind.ROB,
+    StructureKind.ISSUE_QUEUE,
+    StructureKind.LOAD_QUEUE,
+    StructureKind.STORE_QUEUE,
+    StructureKind.REGISTER_FILE,
+    StructureKind.FUNCTIONAL_UNITS,
+)
+SMALL_STRUCTURES = (
+    StructureKind.PIPELINE_LATCHES,
+    StructureKind.ISSUE_QUEUE,
+    StructureKind.STORE_QUEUE,
+    StructureKind.REGISTER_FILE,
+    StructureKind.FUNCTIONAL_UNITS,
+)
 
 
 @dataclass(frozen=True)
@@ -293,11 +312,7 @@ def analyze_big_phase(
         core.store_queue.bits_per_entry
     )
 
-    ace = {kind: 0.0 for kind in (
-        StructureKind.ROB, StructureKind.ISSUE_QUEUE, StructureKind.LOAD_QUEUE,
-        StructureKind.STORE_QUEUE, StructureKind.REGISTER_FILE,
-        StructureKind.FUNCTIONAL_UNITS,
-    )}
+    ace = dict.fromkeys(BIG_STRUCTURES, 0.0)
     occupancy = dict(ace)
     reg_bits_per_writer = _register_bits_per_writer(chars)
     writer_frac = _writer_fraction(chars)
@@ -414,11 +429,7 @@ def analyze_small_phase(
     sq_occ = {"flow": sq_base, "fe": sq_base * 0.5,
               "stall": min(sq_size, sq_base + 2.0 * chars.mix.store * 10.0)}
 
-    ace = {kind: 0.0 for kind in (
-        StructureKind.PIPELINE_LATCHES, StructureKind.ISSUE_QUEUE,
-        StructureKind.STORE_QUEUE, StructureKind.REGISTER_FILE,
-        StructureKind.FUNCTIONAL_UNITS,
-    )}
+    ace = dict.fromkeys(SMALL_STRUCTURES, 0.0)
     occupancy = dict(ace)
     # Live architectural registers are ACE on either core type
     # (ground truth).  The small core's cheap counter hardware does
@@ -470,16 +481,51 @@ def analyze_phase(
 
 
 class MechanisticCoreModel(CoreModel):
-    """O(1)-per-quantum core model driven by benchmark profiles."""
+    """O(1)-per-quantum core model driven by benchmark profiles.
+
+    A model memoizes its phase analyses for as long as it lives.  The
+    analysis is a pure function of the phase, the memory environment
+    and the model's fixed core and memory, so the memo is keyed on
+    ``(id(phase), l3_share_fraction, dram_latency_multiplier)`` and
+    each entry keeps its phase, which guards against a recycled
+    ``id``.  An entry holds only values, ``(phase, cpi, DRAM accesses
+    per instruction, L3 accesses per instruction, ACE bits per cycle,
+    occupied bits per cycle)``, the last two in :attr:`structures`
+    order.  Build one model per run (as
+    :func:`repro.sim.multicore.default_models` does): environments
+    rarely repeat across runs, so a longer-lived model only grows.
+    """
 
     def __init__(self, core: CoreConfig, memory: MemoryConfig | None = None):
         super().__init__(core)
         self.memory = memory if memory is not None else MemoryConfig()
+        self.structures = (
+            BIG_STRUCTURES if core.out_of_order else SMALL_STRUCTURES
+        )
+        self.memo: dict[tuple[int, float, float], tuple] = {}
 
     def analyze(
         self, chars: "PhaseCharacteristics", env: MemoryEnvironment
     ) -> PhaseAnalysis:
         return analyze_phase(chars, self.core, self.memory, env)
+
+    def _rates(self, chars: "PhaseCharacteristics", env: MemoryEnvironment):
+        """The memo entry for a phase under an environment."""
+        key = (id(chars), env.l3_share_fraction, env.dram_latency_multiplier)
+        entry = self.memo.get(key)
+        if entry is None or entry[0] is not chars:
+            analysis = analyze_phase(chars, self.core, self.memory, env)
+            ace = analysis.ace_bits_per_cycle
+            occupancy = analysis.occupancy_bits_per_cycle
+            entry = self.memo[key] = (
+                chars,
+                analysis.cpi,
+                analysis.dram_accesses_per_instruction,
+                analysis.l3_accesses_per_instruction,
+                array("d", [ace[k] for k in self.structures]),
+                array("d", [occupancy[k] for k in self.structures]),
+            )
+        return entry
 
     def run_cycles(
         self,
@@ -491,42 +537,34 @@ class MechanisticCoreModel(CoreModel):
         """Advance a profile through a cycle budget, phase by phase."""
         if cycles <= 0:
             return QuantumResult.zero()
-        result = QuantumResult.zero()
+        result = None
         position = start_instruction
         remaining = float(cycles)
         # Iterate phase chunks; each chunk is homogeneous, so the phase
         # analysis applies uniformly across it.
         while remaining > 1e-9:
-            chars = app.phase_at(position)
-            analysis = self.analyze(chars, env)
-            to_phase_end = app.instructions_until_phase_change(position)
-            chunk_cycles = min(remaining, to_phase_end * analysis.cpi)
-            instructions = int(round(chunk_cycles / analysis.cpi))
+            chars, to_phase_end = app.phase_extent(position)
+            _, cpi, dram_pi, l3_pi, ace, occupancy = self._rates(chars, env)
+            chunk_cycles = min(remaining, to_phase_end * cpi)
+            instructions = int(round(chunk_cycles / cpi))
             if instructions <= 0:
                 # Budget too small to commit a single instruction in
                 # this phase; consume the remaining cycles idle.
                 chunk = QuantumResult(instructions=0, cycles=remaining)
-                result = result.merged_with(chunk)
+                result = chunk if result is None else result.merged_with(chunk)
                 break
-            chunk_cycles = instructions * analysis.cpi
-            chunk = QuantumResult(
-                instructions=instructions,
-                cycles=chunk_cycles,
-                ace_bit_cycles={
-                    k: v * chunk_cycles
-                    for k, v in analysis.ace_bits_per_cycle.items()
-                },
-                occupancy_bit_cycles={
-                    k: v * chunk_cycles
-                    for k, v in analysis.occupancy_bits_per_cycle.items()
-                },
-                memory_accesses=analysis.dram_accesses_per_instruction
-                * instructions,
-                l3_accesses=analysis.l3_accesses_per_instruction * instructions,
-                branch_mispredictions=chars.branch_mpki / 1000.0
-                * instructions,
+            chunk_cycles = instructions * cpi
+            chunk = QuantumResult.dense(
+                instructions,
+                chunk_cycles,
+                self.structures,
+                tuple([v * chunk_cycles for v in ace]),
+                tuple([v * chunk_cycles for v in occupancy]),
+                dram_pi * instructions,
+                l3_pi * instructions,
+                chars.branch_mpki / 1000.0 * instructions,
             )
-            result = result.merged_with(chunk)
+            result = chunk if result is None else result.merged_with(chunk)
             position += instructions
             remaining -= chunk_cycles
-        return result
+        return result if result is not None else QuantumResult.zero()

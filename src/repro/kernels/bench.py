@@ -346,16 +346,17 @@ def run_bench(quick: bool = False) -> dict:
     # so shards_1 honestly pays the worker-spawn overhead the others
     # amortize.  The regression gate (--min-shard-speedup) applies at
     # 2 shards; 4 is reported for the scaling curve.  Sized so the
-    # serial compute (~10s quick) dominates worker spawn
-    # (~0.6s/worker): on a >= 2-core host the model predicts ~1.9x at
-    # 2 shards, leaving headroom over the 1.6x CI floor.  On a
+    # serial compute (~5s quick on a 2-core AMD EPYC host; memoized
+    # runs are cheap, hence billions of instructions) dominates worker
+    # spawn (~0.6s/worker): on a >= 2-core host the model predicts
+    # ~1.9x at 2 shards, leaving headroom over the 1.6x CI floor.  On a
     # single-core host the speedup honestly reads <= 1.0 (workers
     # time-slice one CPU) -- apply the gate only where cores exist.
     from repro.runtime.shard import ShardCoordinator
     from repro.sim.experiment import sweep_specs
 
     shard_machine = STANDARD_MACHINES["1B1S"]()
-    shard_instructions = 500_000_000 if quick else 1_000_000_000
+    shard_instructions = 1_500_000_000 if quick else 3_000_000_000
     shard_mixes = generate_workloads(shard_machine.num_cores)
     shard_specs, shard_labels = sweep_specs(
         shard_machine, shard_mixes, instructions=shard_instructions

@@ -65,10 +65,10 @@ DEFAULT_MAX_QUANTA = 2_000_000
 #
 # The slice function is module-level and pure so it can run identically
 # in-process and in ExecutionEngine worker processes: same inputs, same
-# floats, same event feed.  Models and scaled profiles are cached per
-# process keyed by hashable configs.
+# floats, same event feed.  Scaled profiles are cached per process keyed
+# by hashable configs.  Core models are not: a model's phase-analysis
+# memo must live no longer than one OpenSystem run (see run_slice).
 
-_WORKER_MODELS: dict[tuple[CoreConfig, MemoryConfig], MechanisticCoreModel] = {}
 _WORKER_PROFILES: dict[tuple[str, int], Any] = {}
 
 #: (core config, memory config, benchmark, instructions, position,
@@ -78,13 +78,27 @@ SliceTask = tuple[
 ]
 
 
-def run_slice(task: SliceTask) -> QuantumResult:
-    """Execute one slot's slice of one segment (pure function)."""
+#: One run's core models, keyed by (core config, memory config).
+SliceModels = dict[tuple[CoreConfig, MemoryConfig], MechanisticCoreModel]
+
+
+def run_slice(
+    task: SliceTask, models: SliceModels | None = None
+) -> QuantumResult:
+    """Execute one slot's slice of one segment (pure function).
+
+    ``models`` is the calling run's core-model cache, so the models'
+    phase-analysis memos are shared across that run's slices and die
+    with it; without it (worker processes) the slice runs on a fresh
+    model.
+    """
     core_cfg, memory, name, instructions, position, cycles, env = task
-    model = _WORKER_MODELS.get((core_cfg, memory))
+    models = {} if models is None else models
+    model = models.get((core_cfg, memory))
     if model is None:
-        model = MechanisticCoreModel(core_cfg, memory)
-        _WORKER_MODELS[(core_cfg, memory)] = model
+        model = models[(core_cfg, memory)] = MechanisticCoreModel(
+            core_cfg, memory
+        )
     profile = _WORKER_PROFILES.get((name, instructions))
     if profile is None:
         profile = benchmark(name).scaled(instructions)
@@ -269,6 +283,8 @@ class OpenSystem:
         self.sser = 0.0
         self._slowdowns: list[float] = []
         self._big_model = MechanisticCoreModel(machine.big, machine.memory)
+        #: Core models for in-process slices (one memo per run).
+        self._models: SliceModels = {}
         self._reference: dict[tuple[str, int], ReferenceTimes] = {}
 
     # -- time & intake ---------------------------------------------------
@@ -533,7 +549,7 @@ class OpenSystem:
             if self._map_tasks is not None and len(payloads) > 1:
                 results = self._map_tasks(run_slice, payloads)
             else:
-                results = [run_slice(task) for task in payloads]
+                results = [run_slice(task, self._models) for task in payloads]
             final = plan is plans[-1]
             for (slot, task, overhead, core), result in zip(tasks, results):
                 self._digest_slice(
@@ -569,20 +585,7 @@ class OpenSystem:
         remaining = job.instructions - job.position
         if result.instructions > remaining:
             # Clip at the job's end; the rest of the slice idles.
-            scale = remaining / result.instructions
-            result = QuantumResult(
-                instructions=remaining,
-                cycles=result.cycles * scale,
-                ace_bit_cycles={
-                    k: v * scale for k, v in result.ace_bit_cycles.items()
-                },
-                occupancy_bit_cycles={
-                    k: v * scale
-                    for k, v in result.occupancy_bit_cycles.items()
-                },
-                memory_accesses=result.memory_accesses * scale,
-                l3_accesses=result.l3_accesses * scale,
-            )
+            result = result.clipped(remaining)
         job.abc_seconds += result.total_ace_bit_cycles / freq
         job.position += result.instructions
         job.demand = ApplicationDemand(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.isa.instruction import EXECUTION_LATENCY, InstructionClass
 
@@ -183,7 +184,9 @@ class BenchmarkProfile:
         Returns ``len(phases) + 1`` monotonically increasing values
         starting at 0 and ending at ``instructions``.
         """
-        n = self.instructions if instructions is None else instructions
+        if instructions is None:
+            return list(self._boundaries)
+        n = instructions
         boundaries = [0]
         acc = 0.0
         for frac, _ in self.phases[:-1]:
@@ -192,26 +195,30 @@ class BenchmarkProfile:
         boundaries.append(n)
         return boundaries
 
-    def phase_at(self, position: int) -> PhaseCharacteristics:
-        """Characteristics in effect at an instruction position.
+    @cached_property
+    def _boundaries(self) -> tuple[int, ...]:
+        """The full run's boundaries, computed once per profile."""
+        return tuple(self.phase_boundaries(self.instructions))
+
+    def phase_extent(self, position: int) -> tuple[PhaseCharacteristics, int]:
+        """The phase in effect at a position and the instructions left in it.
 
         Positions beyond the end (restarted applications) wrap around.
         """
         pos = position % self.instructions
-        boundaries = self.phase_boundaries()
+        boundaries = self._boundaries
         for i, (_, chars) in enumerate(self.phases):
             if boundaries[i] <= pos < boundaries[i + 1]:
-                return chars
-        return self.phases[-1][1]
+                return chars, boundaries[i + 1] - pos
+        return self.phases[-1][1], self.instructions - pos
+
+    def phase_at(self, position: int) -> PhaseCharacteristics:
+        """Characteristics in effect at an instruction position."""
+        return self.phase_extent(position)[0]
 
     def instructions_until_phase_change(self, position: int) -> int:
         """Instructions left in the current phase from a position."""
-        pos = position % self.instructions
-        boundaries = self.phase_boundaries()
-        for i in range(len(self.phases)):
-            if boundaries[i] <= pos < boundaries[i + 1]:
-                return boundaries[i + 1] - pos
-        return self.instructions - pos
+        return self.phase_extent(position)[1]
 
     def scaled(self, instructions: int) -> "BenchmarkProfile":
         """The same benchmark at a different instruction count."""

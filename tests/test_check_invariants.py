@@ -19,6 +19,7 @@ from repro.check import (
 from repro.check.invariants import invariant
 from repro.config import MemoryConfig, big_core_config, machine_1b1s
 from repro.config.machines import STANDARD_MACHINES
+from repro.cores.base import QuantumResult
 from repro.cores.mechanistic import MechanisticCoreModel
 from repro.sched.base import Assignment, SegmentPlan
 from repro.sim.experiment import run_workload
@@ -172,22 +173,38 @@ class TestStackInvariants:
         report = check_stack(stack, label="milc-stack")
         assert report.ok and not report.violations
 
+    @staticmethod
+    def _with_ace(result, ace):
+        """A copy of ``result`` with a doctored ACE breakdown (a
+        result's per-structure views are read-only)."""
+        return QuantumResult(
+            result.instructions,
+            result.cycles,
+            ace,
+            result.occupancy_bit_cycles,
+            result.memory_accesses,
+            result.l3_accesses,
+            result.branch_mispredictions,
+        )
+
     def test_negative_structure_entry_flagged(self, stack):
-        doctored = copy.deepcopy(stack)
-        kind = next(iter(doctored.ace_bit_cycles))
-        doctored.ace_bit_cycles[kind] = -5.0
+        ace = dict(stack.ace_bit_cycles)
+        kind = next(iter(ace))
+        ace[kind] = -5.0
+        doctored = self._with_ace(stack, ace)
         report = check_stack(doctored, label="doctored")
         assert "stack_conservation" in report.invariant_names()
 
     def test_structure_exceeding_occupancy_flagged(self, stack):
-        doctored = copy.deepcopy(stack)
-        kind = next(iter(doctored.ace_bit_cycles))
-        extra = 2.0 * doctored.occupancy_bit_cycles[kind] + 1.0
-        delta = extra - doctored.ace_bit_cycles[kind]
-        doctored.ace_bit_cycles[kind] = extra
+        ace = dict(stack.ace_bit_cycles)
+        kind = next(iter(ace))
+        extra = 2.0 * stack.occupancy_bit_cycles[kind] + 1.0
+        delta = extra - ace[kind]
+        ace[kind] = extra
         # Keep the total consistent so only the occupancy bound trips.
-        other = [k for k in doctored.ace_bit_cycles if k != kind][0]
-        doctored.ace_bit_cycles[other] -= delta
+        other = [k for k in ace if k != kind][0]
+        ace[other] -= delta
+        doctored = self._with_ace(stack, ace)
         report = check_stack(doctored, label="doctored")
         assert "stack_within_occupancy" in report.invariant_names()
 

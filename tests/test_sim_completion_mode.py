@@ -76,3 +76,38 @@ class TestCompletionMode:
         """ANTT uses per-application turnaround, which only stops
         accumulating at completion in this mode."""
         assert 1.0 <= completion_run.antt < 5.0
+
+
+class _Recording(StaticScheduler):
+    """A static schedule that keeps every observation it is shown."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def observe(self, plan, observations):
+        self.seen.extend(observations)
+        super().observe(plan, observations)
+
+
+class TestClippedSlice:
+    def test_clipped_slice_reports_branch_mispredictions(self):
+        machine = machine_2b2s()
+        profiles = _profiles()
+        scheduler = _Recording(machine, 4, (0, 1))
+        MulticoreSimulation(
+            machine, profiles, scheduler, restart_finished=False
+        ).run()
+        for i, profile in enumerate(profiles):
+            ran = [o for o in scheduler.seen
+                   if o.app_index == i and o.instructions > 0]
+            expected = sum(
+                frac * profile.instructions * chars.branch_mpki / 1000.0
+                for frac, chars in profile.phases
+            )
+            # The last slice is clipped at the application's end; it
+            # must still count its share of mispredictions.
+            assert ran[-1].branch_mispredictions > 0
+            assert sum(o.branch_mispredictions for o in ran) == (
+                pytest.approx(expected, rel=1e-9)
+            )
