@@ -12,7 +12,8 @@ stays the reference implementation; this driver replays its exact
 float operation sequence per lane:
 
 * the environment-independent part of each phase analysis is frozen
-  once per (phase, core, memory) by :mod:`repro.batch.features`;
+  once per (phase, core, memory) in a
+  :class:`~repro.cores.mechanistic.PhaseFeatures`, owned by the sweep;
 * the environment-dependent tail is evaluated by
   :func:`repro.batch.analysis.analyze_phase_batch` and memoized in a
   growable table keyed by exact (feature id, environment id) pairs --
@@ -42,10 +43,9 @@ from repro.batch.analysis import (
     SMALL_KEY_COLUMNS,
     analyze_phase_batch,
 )
-from repro.batch.features import PhaseFeatures, extract_features
 from repro.batch.simstate import NEVER_RAN, SimState
 from repro.config.machines import BIG, SMALL, MachineConfig
-from repro.cores.mechanistic import MechanisticCoreModel
+from repro.cores.mechanistic import MechanisticCoreModel, PhaseFeatures
 from repro.memory.interference import ApplicationDemand, InterferenceModel
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
@@ -169,7 +169,7 @@ class BatchedSweep:
         self._ref_cache: dict[tuple[int, int], ReferenceTimes] = {}
         # Feature / environment / analysis memo state.
         self._features: list[PhaseFeatures] = []
-        self._fid_of: dict[int, int] = {}
+        self._fid_of: dict[tuple[int, int, int], int] = {}
         self._envs: list[tuple[float, float]] = []
         self._eid_of: dict[tuple[float, float], int] = {}
         self._table = _AnalysisTable()
@@ -221,12 +221,18 @@ class BatchedSweep:
             self._ref_cache[key] = ref
         return ref
 
-    def _fid(self, feat: PhaseFeatures) -> int:
-        fid = self._fid_of.get(id(feat))
+    def _fid(self, chars, core, memory) -> int:
+        """The feature id of a (phase, core, memory), built on first use.
+
+        Keyed by identity: the sweep holds the profiles and machines of
+        all its runs, so no key's objects are freed while it lives.
+        """
+        key = (id(chars), id(core), id(memory))
+        fid = self._fid_of.get(key)
         if fid is None:
             fid = len(self._features)
-            self._features.append(feat)
-            self._fid_of[id(feat)] = fid
+            self._features.append(PhaseFeatures(chars, core, memory))
+            self._fid_of[key] = fid
         return fid
 
     def _prog_row(self, profile: BenchmarkProfile, core, memory) -> int:
@@ -236,7 +242,7 @@ class BatchedSweep:
             fids = []
             brr = []
             for _, chars in profile.phases:
-                fids.append(self._fid(extract_features(chars, core, memory)))
+                fids.append(self._fid(chars, core, memory))
                 brr.append(chars.branch_mpki / 1000.0)
             row = len(self._row_bnd)
             self._row_bnd.append(profile.phase_boundaries())

@@ -26,6 +26,14 @@ their main reliability effect -- filling the ROB with un-ACE state
 underneath long-latency load misses when a mispredicted branch depends
 on the missing load (the mcf/libquantum effect) -- is modelled through
 ``branch_depends_on_load_prob``.
+
+The model is written once.  :class:`PhaseFeatures` holds what depends
+only on (phase, core, memory); the environment-dependent rest is one
+body per core type, in plain arithmetic plus a ``minimum`` and a
+``where`` op it is handed.  :func:`analyze_big_phase` and
+:func:`analyze_small_phase` run it on Python floats;
+:func:`repro.batch.analysis.analyze_phase_batch` runs it on numpy
+columns of many phases and environments.
 """
 
 from __future__ import annotations
@@ -152,60 +160,23 @@ class PhaseAnalysis:
         return self.total_ace_bits_per_cycle / core.total_ace_capacity_bits
 
 
-def _miss_rates(
-    chars: "PhaseCharacteristics", env: MemoryEnvironment
-) -> tuple[float, float, float]:
-    """(L1D, L2, L3) misses per instruction under the environment."""
-    m1 = chars.l1d_mpki / 1000.0
-    m2 = chars.l2_mpki / 1000.0
-    m3 = chars.l3_mpki_at_share(env.l3_share_fraction) / 1000.0
-    return m1, m2, min(m3, m2)
-
-
-def _dram_latency(
-    core: CoreConfig, memory: MemoryConfig, env: MemoryEnvironment
-) -> float:
-    """Full L3-miss-to-data latency in core cycles."""
-    dram = memory.dram_latency_cycles(core.frequency_ghz)
-    return memory.l3.latency_cycles + dram * env.dram_latency_multiplier
-
-
 def _producer_latency(chars: "PhaseCharacteristics") -> float:
     """Mean producer-to-consumer latency along dependency chains."""
     return chars.mix.average_execution_latency() + chars.mix.load * _L1D_HIT_EXTRA
 
 
-def _fu_throughput_limit(core: CoreConfig, chars: "PhaseCharacteristics") -> float:
+def _fu_throughput_limit(core: CoreConfig, mix: dict) -> float:
     """IPC ceiling imposed by functional-unit pool throughput."""
     limit = math.inf
     for pool in core.functional_units:
-        frac = chars.mix.as_dict().get(pool.instruction_class, 0.0)
+        frac = mix.get(pool.instruction_class, 0.0)
         if frac > 0:
             limit = min(limit, pool.throughput / frac)
     return limit
 
 
-def _fu_bits(
-    core: CoreConfig, chars: "PhaseCharacteristics", ipc: float
-) -> tuple[float, float]:
-    """(ACE, occupied) functional-unit bits per cycle at a given IPC."""
-    mix = chars.mix.as_dict()
-    occupied = 0.0
-    for pool in core.functional_units:
-        frac = mix.get(pool.instruction_class, 0.0)
-        busy_units = min(ipc * frac * pool.latency, float(pool.max_in_flight))
-        occupied += busy_units * pool.bits
-    # Loads/stores/branches execute on the integer ALUs for one cycle.
-    alu = core.fu_pool(InstructionClass.INT_ALU)
-    extra_frac = chars.mix.load + chars.mix.store + chars.mix.branch
-    occupied += min(ipc * extra_frac, float(alu.count)) * alu.bits
-    # NOPs never occupy a functional unit, so occupied == ACE here.
-    return occupied, occupied
-
-
-def _register_bits_per_writer(chars: "PhaseCharacteristics") -> float:
+def _register_bits_per_writer(mix: dict) -> float:
     """Mean destination-register width over register-writing instructions."""
-    mix = chars.mix.as_dict()
     int_frac = sum(mix[c] for c in INT_WRITERS)
     fp_frac = sum(mix[c] for c in FP_WRITERS)
     total = int_frac + fp_frac
@@ -214,9 +185,338 @@ def _register_bits_per_writer(chars: "PhaseCharacteristics") -> float:
     return (int_frac * 64.0 + fp_frac * 128.0) / total
 
 
-def _writer_fraction(chars: "PhaseCharacteristics") -> float:
-    mix = chars.mix.as_dict()
+def _writer_fraction(mix: dict) -> float:
     return sum(mix[c] for c in INT_WRITERS | FP_WRITERS)
+
+
+class PhaseFeatures:
+    """The environment-independent part of one (phase, core, memory).
+
+    Everything the analysis needs that does not depend on the
+    :class:`MemoryEnvironment` is computed here once, as plain floats:
+    the five environment-independent CPI components (``base``,
+    ``resource``, ``bpred``, ``icache``, ``l2``), their left fold
+    ``cpi_prefix``, and the occupancy-model inputs.  Only the
+    attributes of the given core type's model are set.
+    """
+
+    __slots__ = (
+        "core",
+        # CPI stack and its environment-dependent inputs
+        "base", "resource", "bpred", "icache", "l2", "cpi_prefix", "t_fe",
+        "m2", "l3_mpki", "sens_headroom", "l3_lat", "dram_base", "mlp",
+        # instruction mix and structure sizes
+        "non_nop", "load", "store", "writer_frac", "reg_bits_per_writer",
+        "iq_size", "iq_bits", "lq_size", "lq_bits", "sq_size", "sq_bits",
+        "rob_size", "rob_bits", "arch_add",
+        # big core: ROB occupancy per regime
+        "occ_base_fixed", "occ_base_const", "fe_events", "fill_rate",
+        "refill_occ", "time_to_fill", "ramp_ttf", "occ_mem",
+        "wp_mem", "run_cap", "run_cap_finite",
+        # small core: latch, issue-queue and store-queue occupancy
+        "latch_bits", "occ_flow", "occ_fe", "occ_stall", "iq_occ_flow",
+        "store_drain_extra",
+        # functional units: (mix fraction, latency, max in flight, bits)
+        "pools", "alu_count", "alu_bits", "extra_frac",
+    )
+
+    def __init__(
+        self,
+        chars: "PhaseCharacteristics",
+        core: CoreConfig,
+        memory: MemoryConfig,
+    ) -> None:
+        self.core = core
+        big = core.out_of_order
+        width = float(core.width)
+        m1 = chars.l1d_mpki / 1000.0
+        self.m2 = m2 = chars.l2_mpki / 1000.0
+        # chars.l3_mpki_at_share(s) == l3_mpki + sens_headroom * (1 - s)
+        self.l3_mpki = chars.l3_mpki
+        headroom = max(chars.l2_mpki - chars.l3_mpki, 0.0)
+        self.sens_headroom = headroom * chars.cache_sensitivity
+        br = chars.branch_mpki / 1000.0
+        ic = chars.icache_mpki / 1000.0
+        l2_lat = float(memory.l2.latency_cycles)
+        self.l3_lat = float(memory.l3.latency_cycles)
+        self.dram_base = memory.dram_latency_cycles(core.frequency_ghz)
+
+        mix = chars.mix.as_dict()
+        producer_lat = _producer_latency(chars)
+        if big:
+            ipc_dataflow = chars.dep_distance_mean / producer_lat
+        else:
+            ipc_dataflow = (
+                _INORDER_ILP_EFFICIENCY * chars.dep_distance_mean / producer_lat
+            )
+        ipc_limit = min(width, ipc_dataflow, _fu_throughput_limit(core, mix))
+
+        p_bl = chars.branch_depends_on_load_prob
+        self.base = 1.0 / width
+        self.resource = 1.0 / ipc_limit - 1.0 / width
+        self.icache = ic * (l2_lat + _ICACHE_EXTRA)
+        if big:
+            drain = producer_lat + _BACKEND_SLACK
+            self.bpred = br * (core.frontend_depth + drain * (1.0 - p_bl))
+            self.l2 = (m1 - m2) * l2_lat * _L2_EXPOSED_BIG
+        else:
+            self.bpred = br * core.frontend_depth
+            self.l2 = (m1 - m2) * l2_lat  # stall-on-use: fully exposed
+        # The left fold sum(components.values()) starts with these five.
+        self.cpi_prefix = (
+            0.0 + self.base + self.resource + self.bpred + self.icache + self.l2
+        )
+        self.t_fe = self.bpred + self.icache
+
+        self.non_nop = 1.0 - chars.mix.nop
+        self.store = chars.mix.store
+        self.iq_size = float(core.issue_queue.entries)
+        self.iq_bits = float(core.issue_queue.bits_per_entry)
+        self.sq_size = float(core.store_queue.entries)
+        self.sq_bits = float(core.store_queue.bits_per_entry)
+        self.arch_add = (
+            float(core.register_file.arch_bits) * _ARCH_REG_LIVE_FRACTION
+        )
+
+        if big:
+            assert core.rob is not None and core.load_queue is not None
+            self.mlp = chars.mlp
+            self.load = chars.mix.load
+            self.writer_frac = _writer_fraction(mix)
+            self.reg_bits_per_writer = _register_bits_per_writer(mix)
+            rob_size = self.rob_size = float(core.rob.entries)
+            self.rob_bits = float(core.rob.bits_per_entry)
+            self.lq_size = float(core.load_queue.entries)
+            self.lq_bits = float(core.load_queue.bits_per_entry)
+            # During dependence-bound execution the front end outruns
+            # commit, so the ROB ramps toward full between front-end
+            # disruptions; _big_body finishes the ramp per environment.
+            self.refill_occ = min(rob_size, _REFILL_OCCUPANCY)
+            self.fill_rate = max(0.0, width - ipc_limit)
+            self.fe_events = br + ic
+            self.occ_base_fixed = True
+            self.time_to_fill = 1.0
+            self.ramp_ttf = 0.0
+            if self.fill_rate <= 1e-12:
+                # Fetch-bound steady state: Little's law at full width.
+                self.occ_base_const = min(
+                    rob_size, width * (producer_lat + _BACKEND_SLACK * 2)
+                )
+            elif self.fe_events <= 1e-12:
+                self.occ_base_const = rob_size
+            else:
+                self.occ_base_fixed = False
+                self.occ_base_const = 0.0
+                self.time_to_fill = (rob_size - self.refill_occ) / self.fill_rate
+                ramp_avg = (self.refill_occ + rob_size) / 2.0
+                self.ramp_ttf = ramp_avg * self.time_to_fill
+            self.occ_mem = rob_size * _MEM_OCCUPANCY_FACTOR
+            self.wp_mem = p_bl * _WRONG_PATH_WINDOW_FRACTION
+            # With a misprediction every 1/br instructions, only about
+            # half a run of correct-path instructions can be in flight
+            # at once; the rest of the window holds un-ACE wrong-path
+            # state.
+            self.run_cap = _CORRECT_PATH_RUN_FACTOR / br if br > 0 else math.inf
+            self.run_cap_finite = math.isfinite(self.run_cap)
+        else:
+            assert core.pipeline_latches is not None
+            # Stall cycles keep the pipeline latches fully occupied;
+            # flowing cycles hold roughly IPC * depth instructions.
+            latches = core.pipeline_latches
+            self.latch_bits = float(latches.bits_per_entry)
+            self.occ_stall = float(latches.entries)
+            self.occ_flow = min(self.occ_stall, ipc_limit * core.frontend_depth)
+            self.occ_fe = self.occ_flow * _FE_OCCUPANCY_FACTOR
+            self.iq_occ_flow = min(self.iq_size, ipc_limit)
+            self.store_drain_extra = 2.0 * chars.mix.store * 10.0
+
+        self.pools = tuple(
+            (
+                mix.get(pool.instruction_class, 0.0),
+                float(pool.latency),
+                float(pool.max_in_flight),
+                float(pool.bits),
+            )
+            for pool in core.functional_units
+        )
+        # Loads/stores/branches execute on the integer ALUs for one cycle.
+        alu = core.fu_pool(InstructionClass.INT_ALU)
+        self.alu_count = float(alu.count)
+        self.alu_bits = float(alu.bits)
+        self.extra_frac = chars.mix.load + chars.mix.store + chars.mix.branch
+
+
+# -- The environment-dependent model body ----------------------------------
+#
+# Written once, evaluated two ways: ``f`` is a PhaseFeatures and
+# ``share``/``mult`` are floats, or ``f`` is a column view of many
+# features and ``share``/``mult`` are numpy arrays (repro.batch).  The
+# body uses plain arithmetic plus the two ops it is given, ``minimum``
+# and ``where(cond, a, b)``; both branches of a ``where`` are always
+# evaluated, so every division is guarded rather than branched around.
+# Element-wise float64 ops round exactly like Python float ops, so the
+# two evaluations agree bit for bit.
+
+
+def _where(cond, a, b):
+    return a if cond else b
+
+
+#: The body's ops on Python floats (numpy's are np.minimum, np.where).
+FLOAT_OPS = (min, _where)
+
+
+def _memory_terms(f, share, mult, minimum, where):
+    """(L3 misses per instruction, L3-miss-to-data latency in cycles)."""
+    share = minimum(where(share < 0.0, 0.0, share), 1.0)
+    m3 = minimum((f.l3_mpki + f.sens_headroom * (1.0 - share)) / 1000.0, f.m2)
+    return m3, f.l3_lat + f.dram_base * mult
+
+
+def _fu_bits(f, ipc, minimum):
+    """Occupied functional-unit bits per cycle (NOPs never occupy a
+    functional unit, so this is also the ACE rate)."""
+    occupied = 0.0
+    for frac, latency, max_in_flight, bits in f.pools:
+        occupied = occupied + minimum(ipc * frac * latency, max_in_flight) * bits
+    return occupied + minimum(ipc * f.extra_frac, f.alu_count) * f.alu_bits
+
+
+def _big_body(f, share, mult, minimum, where):
+    """The big core's analysis: ``(llc, mem, cpi, ipc, m3, ace, occ)``,
+    ``ace``/``occ`` in :data:`BIG_STRUCTURES` order."""
+    m3, dram_lat = _memory_terms(f, share, mult, minimum, where)
+    llc = (f.m2 - m3) * f.l3_lat * _L3_EXPOSED_BIG
+    mem = m3 * dram_lat / f.mlp
+    cpi = f.cpi_prefix + llc + mem
+    ipc = 1.0 / cpi
+
+    # Regime decomposition (cycles per instruction in each regime) and
+    # the ROB occupancy of each.
+    t_base = cpi - mem - f.t_fe - llc
+    base_interval = t_base / where(f.occ_base_fixed, 1.0, f.fe_events)
+    occ_ramp = where(
+        base_interval <= f.time_to_fill,
+        f.refill_occ + f.fill_rate * base_interval / 2.0,
+        (f.ramp_ttf + f.rob_size * (base_interval - f.time_to_fill))
+        / where(base_interval != 0.0, base_interval, 1.0),
+    )
+    occ_base = where(f.occ_base_fixed, f.occ_base_const, occ_ramp)
+    regimes = (
+        (t_base, occ_base, "base", 0.0),
+        (f.t_fe, occ_base * _FE_OCCUPANCY_FACTOR, "fe", 0.0),
+        (llc, (occ_base + f.rob_size) / 2.0, "llc", 0.0),
+        (mem, f.occ_mem, "mem", f.wp_mem),
+    )
+
+    rob = iq = lq = sq = rf = 0.0
+    rob_ace = iq_ace = lq_ace = sq_ace = rf_ace = 0.0
+    for t_ci, occ, regime, wrong_path in regimes:
+        # Fraction of cycles spent in this regime (none if it is empty).
+        weight = where(t_ci > 0.0, t_ci / cpi, 0.0)
+        correct_path = 1.0 - wrong_path
+        correct_path = where(
+            (occ > 0) & f.run_cap_finite,
+            minimum(correct_path, f.run_cap / where(occ > 0, occ, 1.0)),
+            correct_path,
+        )
+        ace_frac = f.non_nop * correct_path
+        occ_iq = minimum(f.iq_size, occ * _IQ_FRACTION[regime])
+        occ_lq = minimum(f.lq_size, occ * f.load)
+        occ_sq = minimum(f.sq_size, occ * f.store * _STORE_RESIDENCY)
+        live_regs = occ * f.writer_frac * _REG_LIVE_FRACTION[regime]
+
+        rob_bits = weight * occ * f.rob_bits
+        iq_bits = weight * occ_iq * f.iq_bits
+        lq_bits = weight * occ_lq * f.lq_bits
+        sq_bits = weight * occ_sq * f.sq_bits
+        rob = rob + rob_bits
+        iq = iq + iq_bits
+        lq = lq + lq_bits
+        sq = sq + sq_bits
+        rf = rf + weight * (live_regs * f.reg_bits_per_writer)
+        rob_ace = rob_ace + rob_bits * ace_frac
+        iq_ace = iq_ace + iq_bits * ace_frac
+        lq_ace = lq_ace + lq_bits * ace_frac
+        sq_ace = sq_ace + sq_bits * ace_frac
+        rf_ace = rf_ace + weight * (live_regs * f.reg_bits_per_writer * ace_frac)
+
+    fu = _fu_bits(f, ipc, minimum)
+    # Live architectural registers are ACE independent of occupancy.
+    return (
+        llc, mem, cpi, ipc, m3,
+        (rob_ace, iq_ace, lq_ace, sq_ace, rf_ace + f.arch_add, fu),
+        (rob, iq, lq, sq, rf + f.arch_add, fu),
+    )
+
+
+def _small_body(f, share, mult, minimum, where):
+    """The small core's analysis: ``(llc, mem, cpi, ipc, m3, ace,
+    occ)``, ``ace``/``occ`` in :data:`SMALL_STRUCTURES` order."""
+    m3, dram_lat = _memory_terms(f, share, mult, minimum, where)
+    llc = (f.m2 - m3) * f.l3_lat
+    mem = m3 * dram_lat / _SMALL_MLP
+    cpi = f.cpi_prefix + llc + mem
+    ipc = 1.0 / cpi
+
+    t_stall = f.l2 + llc + mem
+    t_flow = cpi - t_stall - f.t_fe
+    sq_base = minimum(f.sq_size, ipc * f.store * _SMALL_STORE_DRAIN)
+    # (cycles per instruction, latch, issue-queue, store-queue occupancy)
+    regimes = (
+        (t_flow, f.occ_flow, f.iq_occ_flow, sq_base),
+        (f.t_fe, f.occ_fe, 0.5, sq_base * 0.5),
+        (t_stall, f.occ_stall, f.iq_size,
+         minimum(f.sq_size, sq_base + f.store_drain_extra)),
+    )
+
+    pl = iq = sq = 0.0
+    pl_ace = iq_ace = sq_ace = 0.0
+    for t_ci, occ, occ_iq, occ_sq in regimes:
+        weight = where(t_ci > 0.0, t_ci / cpi, 0.0)
+        pl_bits = weight * occ * f.latch_bits
+        iq_bits = weight * occ_iq * f.iq_bits
+        sq_bits = weight * occ_sq * f.sq_bits
+        pl = pl + pl_bits
+        iq = iq + iq_bits
+        sq = sq + sq_bits
+        pl_ace = pl_ace + pl_bits * f.non_nop
+        iq_ace = iq_ace + iq_bits * f.non_nop
+        sq_ace = sq_ace + sq_bits * f.non_nop
+
+    fu = _fu_bits(f, ipc, minimum)
+    # Live architectural registers are ACE on either core type (ground
+    # truth).  The small core's cheap counter hardware does not measure
+    # them (see repro.ace.counters.measured_abc).
+    return (
+        llc, mem, cpi, ipc, m3,
+        (pl_ace, iq_ace, sq_ace, f.arch_add, fu),
+        (pl, iq, sq, f.arch_add, fu),
+    )
+
+
+def _analysis(
+    f: PhaseFeatures, body, structures, env: MemoryEnvironment
+) -> PhaseAnalysis:
+    llc, mem, cpi, ipc, m3, ace, occupancy = body(
+        f, env.l3_share_fraction, env.dram_latency_multiplier, *FLOAT_OPS
+    )
+    return PhaseAnalysis(
+        ipc=ipc,
+        cpi_components={
+            "base": f.base,
+            "resource": f.resource,
+            "bpred": f.bpred,
+            "icache": f.icache,
+            "l2": f.l2,
+            "llc": llc,
+            "mem": mem,
+        },
+        ace_bits_per_cycle=dict(zip(structures, ace)),
+        occupancy_bits_per_cycle=dict(zip(structures, occupancy)),
+        dram_accesses_per_instruction=m3,
+        l3_accesses_per_instruction=f.m2,
+    )
 
 
 def analyze_big_phase(
@@ -228,141 +528,8 @@ def analyze_big_phase(
     """Analyze one phase on the big out-of-order core."""
     if not core.out_of_order:
         raise ValueError("analyze_big_phase requires an out-of-order core")
-    assert core.rob is not None and core.load_queue is not None
-
-    width = float(core.width)
-    rob_size = float(core.rob.entries)
-    m1, m2, m3 = _miss_rates(chars, env)
-    br = chars.branch_mpki / 1000.0
-    ic = chars.icache_mpki / 1000.0
-    dram_lat = _dram_latency(core, memory, env)
-    l2_lat = float(memory.l2.latency_cycles)
-    l3_lat = float(memory.l3.latency_cycles)
-
-    producer_lat = _producer_latency(chars)
-    ipc_dataflow = chars.dep_distance_mean / producer_lat
-    ipc_limit = min(width, ipc_dataflow, _fu_throughput_limit(core, chars))
-
-    p_bl = chars.branch_depends_on_load_prob
-    drain = producer_lat + _BACKEND_SLACK
-    components = {
-        "base": 1.0 / width,
-        "resource": 1.0 / ipc_limit - 1.0 / width,
-        "bpred": br * (core.frontend_depth + drain * (1.0 - p_bl)),
-        "icache": ic * (l2_lat + _ICACHE_EXTRA),
-        "l2": (m1 - m2) * l2_lat * _L2_EXPOSED_BIG,
-        "llc": (m2 - m3) * l3_lat * _L3_EXPOSED_BIG,
-        "mem": m3 * dram_lat / chars.mlp,
-    }
-    cpi = sum(components.values())
-    ipc = 1.0 / cpi
-
-    # -- Regime decomposition (cycles per instruction in each regime) --
-    t_mem = components["mem"]
-    t_fe = components["bpred"] + components["icache"]
-    t_llc = components["llc"]
-    t_base = cpi - t_mem - t_fe - t_llc
-
-    # ROB occupancy per regime.  During dependence-bound execution the
-    # front end outruns commit, so the ROB ramps toward full between
-    # front-end disruptions.
-    refill_occ = min(rob_size, _REFILL_OCCUPANCY)
-    fill_rate = max(0.0, width - ipc_limit)
-    fe_events = br + ic
-    if fill_rate <= 1e-12:
-        # Fetch-bound steady state: Little's law at full width.
-        occ_base = min(rob_size, width * (producer_lat + _BACKEND_SLACK * 2))
-    elif fe_events <= 1e-12:
-        occ_base = rob_size
-    else:
-        base_interval = t_base / fe_events  # cycles of base regime per event
-        time_to_fill = (rob_size - refill_occ) / fill_rate
-        if base_interval <= time_to_fill:
-            occ_base = refill_occ + fill_rate * base_interval / 2.0
-        else:
-            ramp_avg = (refill_occ + rob_size) / 2.0
-            occ_base = (
-                ramp_avg * time_to_fill + rob_size * (base_interval - time_to_fill)
-            ) / base_interval
-    occ_mem = rob_size * _MEM_OCCUPANCY_FACTOR
-    occ_llc = (occ_base + rob_size) / 2.0
-    occ_fe = occ_base * _FE_OCCUPANCY_FACTOR
-
-    regimes = {"base": (t_base, occ_base), "fe": (t_fe, occ_fe),
-               "llc": (t_llc, occ_llc), "mem": (t_mem, occ_mem)}
-
-    non_nop = 1.0 - chars.mix.nop
-    wrong_path = {"base": 0.0, "fe": 0.0, "llc": 0.0,
-                  "mem": p_bl * _WRONG_PATH_WINDOW_FRACTION}
-    # With a misprediction every 1/br instructions, only about half a
-    # run of correct-path instructions can be in flight at once; the
-    # rest of the window holds un-ACE wrong-path state.
-    run_cap = (
-        _CORRECT_PATH_RUN_FACTOR / br if br > 0 else math.inf
-    )
-
-    rob_bits = float(core.rob.bits_per_entry)
-    iq_size, iq_bits = float(core.issue_queue.entries), float(
-        core.issue_queue.bits_per_entry
-    )
-    lq_size, lq_bits = float(core.load_queue.entries), float(
-        core.load_queue.bits_per_entry
-    )
-    sq_size, sq_bits = float(core.store_queue.entries), float(
-        core.store_queue.bits_per_entry
-    )
-
-    ace = dict.fromkeys(BIG_STRUCTURES, 0.0)
-    occupancy = dict(ace)
-    reg_bits_per_writer = _register_bits_per_writer(chars)
-    writer_frac = _writer_fraction(chars)
-
-    for regime, (t_ci, occ) in regimes.items():
-        if t_ci <= 0.0:
-            continue
-        weight = t_ci / cpi  # fraction of cycles spent in this regime
-        correct_path = 1.0 - wrong_path[regime]
-        if occ > 0 and math.isfinite(run_cap):
-            correct_path = min(correct_path, run_cap / occ)
-        ace_frac = non_nop * correct_path
-        occ_iq = min(iq_size, occ * _IQ_FRACTION[regime])
-        occ_lq = min(lq_size, occ * chars.mix.load)
-        occ_sq = min(sq_size, occ * chars.mix.store * _STORE_RESIDENCY)
-        live_regs = occ * writer_frac * _REG_LIVE_FRACTION[regime]
-
-        occupancy[StructureKind.ROB] += weight * occ * rob_bits
-        occupancy[StructureKind.ISSUE_QUEUE] += weight * occ_iq * iq_bits
-        occupancy[StructureKind.LOAD_QUEUE] += weight * occ_lq * lq_bits
-        occupancy[StructureKind.STORE_QUEUE] += weight * occ_sq * sq_bits
-        occupancy[StructureKind.REGISTER_FILE] += weight * (
-            live_regs * reg_bits_per_writer
-        )
-
-        ace[StructureKind.ROB] += weight * occ * rob_bits * ace_frac
-        ace[StructureKind.ISSUE_QUEUE] += weight * occ_iq * iq_bits * ace_frac
-        ace[StructureKind.LOAD_QUEUE] += weight * occ_lq * lq_bits * ace_frac
-        ace[StructureKind.STORE_QUEUE] += weight * occ_sq * sq_bits * ace_frac
-        ace[StructureKind.REGISTER_FILE] += weight * (
-            live_regs * reg_bits_per_writer * ace_frac
-        )
-
-    # Live architectural registers are ACE independent of occupancy.
-    arch_bits = float(core.register_file.arch_bits) * _ARCH_REG_LIVE_FRACTION
-    ace[StructureKind.REGISTER_FILE] += arch_bits
-    occupancy[StructureKind.REGISTER_FILE] += arch_bits
-
-    fu_ace, fu_occ = _fu_bits(core, chars, ipc)
-    ace[StructureKind.FUNCTIONAL_UNITS] = fu_ace
-    occupancy[StructureKind.FUNCTIONAL_UNITS] = fu_occ
-
-    return PhaseAnalysis(
-        ipc=ipc,
-        cpi_components=components,
-        ace_bits_per_cycle=ace,
-        occupancy_bits_per_cycle=occupancy,
-        dram_accesses_per_instruction=m3,
-        l3_accesses_per_instruction=m2,
-    )
+    f = PhaseFeatures(chars, core, memory)
+    return _analysis(f, _big_body, BIG_STRUCTURES, env)
 
 
 def analyze_small_phase(
@@ -374,98 +541,15 @@ def analyze_small_phase(
     """Analyze one phase on the small in-order core."""
     if core.out_of_order:
         raise ValueError("analyze_small_phase requires an in-order core")
-    assert core.pipeline_latches is not None
+    f = PhaseFeatures(chars, core, memory)
+    return _analysis(f, _small_body, SMALL_STRUCTURES, env)
 
-    width = float(core.width)
-    m1, m2, m3 = _miss_rates(chars, env)
-    br = chars.branch_mpki / 1000.0
-    ic = chars.icache_mpki / 1000.0
-    dram_lat = _dram_latency(core, memory, env)
-    l2_lat = float(memory.l2.latency_cycles)
-    l3_lat = float(memory.l3.latency_cycles)
 
-    producer_lat = _producer_latency(chars)
-    ipc_dataflow = (
-        _INORDER_ILP_EFFICIENCY * chars.dep_distance_mean / producer_lat
-    )
-    ipc_limit = min(width, ipc_dataflow, _fu_throughput_limit(core, chars))
-
-    components = {
-        "base": 1.0 / width,
-        "resource": 1.0 / ipc_limit - 1.0 / width,
-        "bpred": br * core.frontend_depth,
-        "icache": ic * (l2_lat + _ICACHE_EXTRA),
-        "l2": (m1 - m2) * l2_lat,  # stall-on-use: fully exposed
-        "llc": (m2 - m3) * l3_lat,
-        "mem": m3 * dram_lat / _SMALL_MLP,
-    }
-    cpi = sum(components.values())
-    ipc = 1.0 / cpi
-
-    # Regimes: stall cycles keep the pipeline latches fully occupied;
-    # flowing cycles hold roughly IPC * depth instructions.
-    latches = core.pipeline_latches
-    latch_slots = float(latches.entries)
-    latch_bits = float(latches.bits_per_entry)
-    t_stall = components["l2"] + components["llc"] + components["mem"]
-    t_fe = components["bpred"] + components["icache"]
-    t_flow = cpi - t_stall - t_fe
-
-    occ_flow = min(latch_slots, ipc_limit * core.frontend_depth)
-    occ_stall = latch_slots
-    occ_fe = occ_flow * _FE_OCCUPANCY_FACTOR
-
-    iq_size = float(core.issue_queue.entries)
-    iq_bits = float(core.issue_queue.bits_per_entry)
-    sq_size = float(core.store_queue.entries)
-    sq_bits = float(core.store_queue.bits_per_entry)
-
-    non_nop = 1.0 - chars.mix.nop
-    regimes = {"flow": (t_flow, occ_flow), "fe": (t_fe, occ_fe),
-               "stall": (t_stall, occ_stall)}
-    iq_occ = {"flow": min(iq_size, ipc_limit), "fe": 0.5,
-              "stall": iq_size}
-    sq_base = min(sq_size, ipc * chars.mix.store * _SMALL_STORE_DRAIN)
-    sq_occ = {"flow": sq_base, "fe": sq_base * 0.5,
-              "stall": min(sq_size, sq_base + 2.0 * chars.mix.store * 10.0)}
-
-    ace = dict.fromkeys(SMALL_STRUCTURES, 0.0)
-    occupancy = dict(ace)
-    # Live architectural registers are ACE on either core type
-    # (ground truth).  The small core's cheap counter hardware does
-    # not measure them (see repro.ace.counters.measured_abc).
-    arch_bits = float(core.register_file.arch_bits) * _ARCH_REG_LIVE_FRACTION
-    ace[StructureKind.REGISTER_FILE] = arch_bits
-    occupancy[StructureKind.REGISTER_FILE] = arch_bits
-    for regime, (t_ci, occ) in regimes.items():
-        if t_ci <= 0.0:
-            continue
-        weight = t_ci / cpi
-        occupancy[StructureKind.PIPELINE_LATCHES] += weight * occ * latch_bits
-        occupancy[StructureKind.ISSUE_QUEUE] += weight * iq_occ[regime] * iq_bits
-        occupancy[StructureKind.STORE_QUEUE] += weight * sq_occ[regime] * sq_bits
-        ace[StructureKind.PIPELINE_LATCHES] += (
-            weight * occ * latch_bits * non_nop
-        )
-        ace[StructureKind.ISSUE_QUEUE] += (
-            weight * iq_occ[regime] * iq_bits * non_nop
-        )
-        ace[StructureKind.STORE_QUEUE] += (
-            weight * sq_occ[regime] * sq_bits * non_nop
-        )
-
-    fu_ace, fu_occ = _fu_bits(core, chars, ipc)
-    ace[StructureKind.FUNCTIONAL_UNITS] = fu_ace
-    occupancy[StructureKind.FUNCTIONAL_UNITS] = fu_occ
-
-    return PhaseAnalysis(
-        ipc=ipc,
-        cpi_components=components,
-        ace_bits_per_cycle=ace,
-        occupancy_bits_per_cycle=occupancy,
-        dram_accesses_per_instruction=m3,
-        l3_accesses_per_instruction=m2,
-    )
+def model_body(core: CoreConfig):
+    """The model body of a core's type and its structure order."""
+    if core.out_of_order:
+        return _big_body, BIG_STRUCTURES
+    return _small_body, SMALL_STRUCTURES
 
 
 def analyze_phase(
