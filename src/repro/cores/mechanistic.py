@@ -39,7 +39,6 @@ columns of many phases and environments.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -202,6 +201,7 @@ class PhaseFeatures:
 
     __slots__ = (
         "core",
+        "__weakref__",
         # CPI stack and its environment-dependent inputs
         "base", "resource", "bpred", "icache", "l2", "cpi_prefix", "t_fe",
         "m2", "l3_mpki", "sens_headroom", "l3_lat", "dram_base", "mlp",
@@ -524,12 +524,18 @@ def analyze_big_phase(
     core: CoreConfig,
     memory: MemoryConfig,
     env: MemoryEnvironment,
+    features: PhaseFeatures | None = None,
 ) -> PhaseAnalysis:
-    """Analyze one phase on the big out-of-order core."""
+    """Analyze one phase on the big out-of-order core.
+
+    ``features``, if given, must be ``PhaseFeatures(chars, core,
+    memory)``, built earlier; otherwise they are built here.
+    """
     if not core.out_of_order:
         raise ValueError("analyze_big_phase requires an out-of-order core")
-    f = PhaseFeatures(chars, core, memory)
-    return _analysis(f, _big_body, BIG_STRUCTURES, env)
+    if features is None:
+        features = PhaseFeatures(chars, core, memory)
+    return _analysis(features, _big_body, BIG_STRUCTURES, env)
 
 
 def analyze_small_phase(
@@ -537,12 +543,15 @@ def analyze_small_phase(
     core: CoreConfig,
     memory: MemoryConfig,
     env: MemoryEnvironment,
+    features: PhaseFeatures | None = None,
 ) -> PhaseAnalysis:
-    """Analyze one phase on the small in-order core."""
+    """Analyze one phase on the small in-order core (``features`` as
+    for :func:`analyze_big_phase`)."""
     if core.out_of_order:
         raise ValueError("analyze_small_phase requires an in-order core")
-    f = PhaseFeatures(chars, core, memory)
-    return _analysis(f, _small_body, SMALL_STRUCTURES, env)
+    if features is None:
+        features = PhaseFeatures(chars, core, memory)
+    return _analysis(features, _small_body, SMALL_STRUCTURES, env)
 
 
 def model_body(core: CoreConfig):
@@ -567,15 +576,22 @@ def analyze_phase(
 class MechanisticCoreModel(CoreModel):
     """O(1)-per-quantum core model driven by benchmark profiles.
 
-    A model memoizes its phase analyses for as long as it lives.  The
-    analysis is a pure function of the phase, the memory environment
-    and the model's fixed core and memory, so the memo is keyed on
-    ``(id(phase), l3_share_fraction, dram_latency_multiplier)`` and
-    each entry keeps its phase, which guards against a recycled
-    ``id``.  An entry holds only values, ``(phase, cpi, DRAM accesses
-    per instruction, L3 accesses per instruction, ACE bits per cycle,
-    occupied bits per cycle)``, the last two in :attr:`structures`
-    order.  Build one model per run (as
+    A model memoizes two things for as long as it lives, both keyed on
+    the phase's ``id`` with an entry that keeps its phase (which guards
+    against a recycled ``id``):
+
+    * :attr:`features`: the phase's :class:`PhaseFeatures` on this
+      model's core and memory, keyed on ``id(phase)``;
+    * :attr:`memo`: the phase's analysis under one environment, keyed
+      on ``(id(phase), l3_share_fraction, dram_latency_multiplier)``.
+      An entry holds only values, ``(phase, cpi, DRAM accesses per
+      instruction, L3 accesses per instruction, mispredictions per
+      instruction, ACE bits per cycle, occupied bits per cycle)``, the
+      last two in :attr:`structures` order.
+
+    A memo miss calls the module-level :func:`analyze_big_phase` or
+    :func:`analyze_small_phase` once, with the phase's memoized
+    features.  Build one model per run (as
     :func:`repro.sim.multicore.default_models` does): environments
     rarely repeat across runs, so a longer-lived model only grows.
     """
@@ -586,29 +602,45 @@ class MechanisticCoreModel(CoreModel):
         self.structures = (
             BIG_STRUCTURES if core.out_of_order else SMALL_STRUCTURES
         )
+        self.features: dict[int, tuple] = {}
         self.memo: dict[tuple[int, float, float], tuple] = {}
+
+    def phase_features(self, chars: "PhaseCharacteristics") -> PhaseFeatures:
+        """The phase's features on this model's core, built once."""
+        entry = self.features.get(id(chars))
+        if entry is None or entry[0] is not chars:
+            entry = self.features[id(chars)] = (
+                chars,
+                PhaseFeatures(chars, self.core, self.memory),
+            )
+        return entry[1]
 
     def analyze(
         self, chars: "PhaseCharacteristics", env: MemoryEnvironment
     ) -> PhaseAnalysis:
-        return analyze_phase(chars, self.core, self.memory, env)
+        """A fresh analysis of the phase, from its memoized features."""
+        analyze = (
+            analyze_big_phase if self.core.out_of_order else analyze_small_phase
+        )
+        return analyze(
+            chars, self.core, self.memory, env, self.phase_features(chars)
+        )
 
-    def _rates(self, chars: "PhaseCharacteristics", env: MemoryEnvironment):
-        """The memo entry for a phase under an environment."""
-        key = (id(chars), env.l3_share_fraction, env.dram_latency_multiplier)
-        entry = self.memo.get(key)
-        if entry is None or entry[0] is not chars:
-            analysis = analyze_phase(chars, self.core, self.memory, env)
-            ace = analysis.ace_bits_per_cycle
-            occupancy = analysis.occupancy_bits_per_cycle
-            entry = self.memo[key] = (
-                chars,
-                analysis.cpi,
-                analysis.dram_accesses_per_instruction,
-                analysis.l3_accesses_per_instruction,
-                array("d", [ace[k] for k in self.structures]),
-                array("d", [occupancy[k] for k in self.structures]),
-            )
+    def _miss(self, chars: "PhaseCharacteristics", env: MemoryEnvironment):
+        """Analyze a phase under an environment into a new memo entry."""
+        analysis = self.analyze(chars, env)
+        entry = self.memo[
+            (id(chars), env.l3_share_fraction, env.dram_latency_multiplier)
+        ] = (
+            chars,
+            analysis.cpi,
+            analysis.dram_accesses_per_instruction,
+            analysis.l3_accesses_per_instruction,
+            chars.branch_mpki / 1000.0,
+            # The analyzers build these dicts in structure order.
+            tuple(analysis.ace_bits_per_cycle.values()),
+            tuple(analysis.occupancy_bits_per_cycle.values()),
+        )
         return entry
 
     def run_cycles(
@@ -618,37 +650,82 @@ class MechanisticCoreModel(CoreModel):
         cycles: float,
         env: MemoryEnvironment,
     ) -> QuantumResult:
-        """Advance a profile through a cycle budget, phase by phase."""
+        """Advance a profile through a cycle budget, phase by phase.
+
+        Each phase chunk is homogeneous, so its phase's analysis applies
+        uniformly across it.  The chunks fold into one result in
+        :meth:`QuantumResult.merged_with`'s order: the first chunk as
+        is, each later one added to the running totals.
+        """
         if cycles <= 0:
             return QuantumResult.zero()
-        result = None
+        memo = self.memo
+        share = env.l3_share_fraction
+        mult = env.dram_latency_multiplier
         position = start_instruction
         remaining = float(cycles)
-        # Iterate phase chunks; each chunk is homogeneous, so the phase
-        # analysis applies uniformly across it.
+        ace = occupancy = None
+        to_phase_end = 0
         while remaining > 1e-9:
-            chars, to_phase_end = app.phase_extent(position)
-            _, cpi, dram_pi, l3_pi, ace, occupancy = self._rates(chars, env)
+            if to_phase_end <= 0:
+                # Left the phase (or just started): look up the next.
+                chars, to_phase_end = app.phase_extent(position)
+                entry = memo.get((id(chars), share, mult))
+                if entry is None or entry[0] is not chars:
+                    entry = self._miss(chars, env)
+                _, cpi, dram_pi, l3_pi, branch_pi, ace_rate, occupancy_rate = (
+                    entry
+                )
             chunk_cycles = min(remaining, to_phase_end * cpi)
-            instructions = int(round(chunk_cycles / cpi))
-            if instructions <= 0:
+            n = int(round(chunk_cycles / cpi))
+            if n <= 0:
                 # Budget too small to commit a single instruction in
-                # this phase; consume the remaining cycles idle.
-                chunk = QuantumResult(instructions=0, cycles=remaining)
-                result = chunk if result is None else result.merged_with(chunk)
+                # this phase; consume the remaining cycles idle.  Like
+                # merged_with, an idle chunk after others adds its
+                # cycles and zero accesses; alone, it has no keys.
+                if ace is None:
+                    return QuantumResult(instructions=0, cycles=remaining)
+                total_cycles += remaining
+                dram += 0.0
+                l3 += 0.0
+                branches += 0.0
                 break
-            chunk_cycles = instructions * cpi
-            chunk = QuantumResult.dense(
-                instructions,
-                chunk_cycles,
-                self.structures,
-                tuple([v * chunk_cycles for v in ace]),
-                tuple([v * chunk_cycles for v in occupancy]),
-                dram_pi * instructions,
-                l3_pi * instructions,
-                chars.branch_mpki / 1000.0 * instructions,
-            )
-            result = chunk if result is None else result.merged_with(chunk)
-            position += instructions
+            chunk_cycles = n * cpi
+            if ace is None:
+                instructions = n
+                total_cycles = chunk_cycles
+                ace = tuple([v * chunk_cycles for v in ace_rate])
+                occupancy = tuple([v * chunk_cycles for v in occupancy_rate])
+                dram = dram_pi * n
+                l3 = l3_pi * n
+                branches = branch_pi * n
+            else:
+                instructions += n
+                total_cycles += chunk_cycles
+                ace = tuple(
+                    [a + v * chunk_cycles for a, v in zip(ace, ace_rate)]
+                )
+                occupancy = tuple(
+                    [
+                        a + v * chunk_cycles
+                        for a, v in zip(occupancy, occupancy_rate)
+                    ]
+                )
+                dram += dram_pi * n
+                l3 += l3_pi * n
+                branches += branch_pi * n
+            position += n
+            to_phase_end -= n
             remaining -= chunk_cycles
-        return result if result is not None else QuantumResult.zero()
+        if ace is None:
+            return QuantumResult.zero()
+        return QuantumResult.dense(
+            instructions,
+            total_cycles,
+            self.structures,
+            ace,
+            occupancy,
+            dram,
+            l3,
+            branches,
+        )

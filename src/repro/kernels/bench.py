@@ -280,7 +280,10 @@ def run_bench(quick: bool = False) -> dict:
     # expected to be *slower* (array setup dominates one run) and is
     # reported for honesty; the regression gate (--min-batch-speedup)
     # applies at batch size 1024, where the cross-run amortization
-    # pays off.
+    # pays off.  Every point is a best of 3, and the baseline runs the
+    # gated point's 1024 requests (about 0.4s at --quick): a handful
+    # of millisecond runs over the first few mixes read timer and mix
+    # noise, not scalar throughput.
     from repro.ace.counters import AceCounterMode
     from repro.batch.sweep import BatchRunRequest, run_workload_batch
     from repro.sim.multicore import MulticoreSimulation
@@ -314,11 +317,14 @@ def run_bench(quick: bool = False) -> dict:
             req.machine, profiles, scheduler, counter_mode=req.counter_mode
         ).run()
 
-    scalar_count = 4 if quick else 8
-    t0 = time.perf_counter()
-    for i in range(scalar_count):
-        scalar_run(batch_request(i))
-    scalar_s = time.perf_counter() - t0
+    scalar_count = 1024
+    scalar_requests = [batch_request(i) for i in range(scalar_count)]
+
+    def scalar_sweep() -> None:
+        for req in scalar_requests:
+            scalar_run(req)
+
+    scalar_s, _ = _best(scalar_sweep, 3)
     scalar_runs_per_s = scalar_count / scalar_s
     results["batch"] = {
         "machine": batch_machine.name,
@@ -331,9 +337,7 @@ def run_bench(quick: bool = False) -> dict:
     }
     for size in (1, 64, 1024):
         requests = [batch_request(i) for i in range(size)]
-        t0 = time.perf_counter()
-        run_workload_batch(requests)
-        wall = time.perf_counter() - t0
+        wall, _ = _best(lambda: run_workload_batch(requests), 3)
         results["batch"][f"batch_{size}"] = {
             "runs": size,
             "wall_s": wall,

@@ -144,6 +144,15 @@ class MulticoreSimulation:
         timeline: list[TimelinePoint] = []
         now = 0.0
         quantum = 0
+        machine = self.machine
+        # Per core: (type, config, model, frequency in Hz).
+        cores = []
+        for core in range(machine.num_cores):
+            core_type = machine.core_type(core)
+            config = machine.core_config(core)
+            cores.append(
+                (core_type, config, self.models[core_type], config.frequency_hz)
+            )
 
         def finished() -> bool:
             return all(
@@ -166,8 +175,8 @@ class MulticoreSimulation:
             quantum_instr = [0] * n
             final_types = [""] * n
             for plan in plans:
-                plan.assignment.validate(self.machine)
-                duration = plan.fraction * self.machine.quantum_seconds
+                plan.assignment.validate(machine)
+                duration = plan.fraction * machine.quantum_seconds
                 envs = self.interference.environments(demands)
                 observations = []
                 new_demands = list(demands)
@@ -183,9 +192,7 @@ class MulticoreSimulation:
                         new_demands[i] = ApplicationDemand(0.0, 0.0)
                         final_types[i] = "parked"
                         continue
-                    core_type = self.machine.core_type(core)
-                    config = self.machine.core_config(core)
-                    model = self.models[core_type]
+                    core_type, config, model, freq = cores[core]
                     remaining = self.profiles[i].instructions - positions[i]
                     if not self.restart_finished and remaining <= 0:
                         # Run-to-completion mode: the core idles.
@@ -198,16 +205,15 @@ class MulticoreSimulation:
                         continue
                     migrated = last_core[i] is not None and last_core[i] != core
                     overhead = (
-                        min(self.machine.migration_overhead_seconds, duration)
+                        min(machine.migration_overhead_seconds, duration)
                         if migrated
                         else 0.0
                     )
-                    exec_cycles = (duration - overhead) * config.frequency_hz
+                    exec_cycles = (duration - overhead) * freq
                     with span("sim.exec", core=core_type):
                         result = model.run_cycles(
                             self.profiles[i], positions[i], exec_cycles, envs[i]
                         )
-                    freq = config.frequency_hz
                     if (
                         not self.restart_finished
                         and result.instructions > remaining
