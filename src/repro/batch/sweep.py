@@ -58,7 +58,6 @@ from repro.sim.isolated import ReferenceTimes
 from repro.sim.multicore import DEFAULT_MAX_QUANTA
 from repro.sim.results import AppRunRecord, RunResult
 from repro.workloads.characteristics import BenchmarkProfile
-from repro.workloads.mixes import WorkloadMix
 from repro.workloads.spec2006 import benchmark
 
 _ROB, _IQ, _LQ, _SQ, _RF, _FU, _PL = range(7)
@@ -685,42 +684,6 @@ def run_workload_batch(
     return BatchedSweep(requests).run()
 
 
-def run_workloads_batched(
-    machine: MachineConfig,
-    workloads: Sequence[WorkloadMix | Sequence[str]],
-    scheduler_names: Sequence[str] = ("random", "performance", "reliability"),
-    *,
-    instructions: int | None = None,
-    counter_mode: AceCounterMode = AceCounterMode.FULL,
-) -> dict[str, list[RunResult]]:
-    """Batched equivalent of :func:`repro.sim.experiment.sweep`.
-
-    Builds the same (workload x scheduler) grid with the same
-    content-derived seeds (the workload's index in ``workloads``) and
-    runs it as one fused :class:`BatchedSweep`.  Returns
-    ``{scheduler_name: [RunResult per workload, in order]}``.
-    """
-    requests = []
-    for index, mix in enumerate(workloads):
-        names = mix.benchmarks if isinstance(mix, WorkloadMix) else tuple(mix)
-        for name in scheduler_names:
-            requests.append(
-                BatchRunRequest(
-                    machine=machine,
-                    benchmarks=names,
-                    scheduler=name,
-                    instructions=instructions,
-                    seed=index,
-                    counter_mode=counter_mode,
-                )
-            )
-    flat = BatchedSweep(requests).run()
-    results: dict[str, list[RunResult]] = {n: [] for n in scheduler_names}
-    for request, result in zip(requests, flat):
-        results[request.scheduler].append(result)
-    return results
-
-
 # -- engine integration ----------------------------------------------
 
 from repro.runtime.engine import ExecutionEngine, Job  # noqa: E402
@@ -732,8 +695,8 @@ from repro.sim.serialize import run_result_to_dict, save_run  # noqa: E402
 class BatchedExecutionEngine(ExecutionEngine):
     """ExecutionEngine that fuses all uncached jobs into one sweep.
 
-    Drop-in for :class:`~repro.runtime.engine.ExecutionEngine` in
-    ``Campaign``/``experiment.sweep``: cache loads, result stores,
+    What :func:`~repro.runtime.engine.run_specs` runs for
+    ``batched=True``: cache loads, result stores,
     checks, events, and checkpointing are inherited unchanged; only
     the execute step changes, running every uncached job through one
     :class:`BatchedSweep` instead of per-job worker processes.

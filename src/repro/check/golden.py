@@ -74,72 +74,25 @@ def _sweep_payload(
     machine_name: str,
     mixes: list[tuple[str, tuple[str, ...]]],
     runs: list[RunResult],
-) -> tuple[dict[str, Any], list[RunResult]]:
-    """Run each mix under each scheduler; freeze runs + normalized curves."""
-    from repro.sim.experiment import run_workload
-    from repro.config.machines import STANDARD_MACHINES
-
-    machine = STANDARD_MACHINES[machine_name]()
-    payload: dict[str, Any] = {"machine": machine_name, "runs": {}}
-    by_scheduler: dict[str, list[RunResult]] = {}
-    for scheduler in _SCHEDULERS:
-        rows = []
-        for seed, (category, names) in enumerate(mixes):
-            result = run_workload(
-                machine,
-                names,
-                scheduler,
-                instructions=_GOLDEN_INSTRUCTIONS,
-                seed=seed,
-            )
-            runs.append(result)
-            by_scheduler.setdefault(scheduler, []).append(result)
-            entry = _run_payload(result)
-            entry["category"] = category
-            rows.append(entry)
-        payload["runs"][scheduler] = rows
-    base = by_scheduler["random"]
-    payload["normalized"] = {
-        scheduler: {
-            "sser": sorted(
-                r.sser / b.sser for r, b in zip(by_scheduler[scheduler], base)
-            ),
-            "stp": sorted(
-                r.stp / b.stp for r, b in zip(by_scheduler[scheduler], base)
-            ),
-        }
-        for scheduler in ("performance", "reliability")
-    }
-    return payload, runs
-
-
-def _pipeline_fig06_1b1s(runs: list[RunResult]) -> dict[str, Any]:
-    """Figure 6 shape at toy scale: three two-program mixes on 1B1S."""
-    payload, _ = _sweep_payload("1B1S", _FIG06_MIXES, runs)
-    return payload
-
-
-def _sweep_payload_batched(
-    machine_name: str,
-    mixes: list[tuple[str, tuple[str, ...]]],
-    runs: list[RunResult],
+    *,
+    batched: bool = False,
 ) -> dict[str, Any]:
-    """`_sweep_payload` computed through the cross-run batched engine.
+    """Run each mix under each scheduler; freeze runs + normalized curves.
 
-    Same grid, same seeds (the mix index), same payload shape -- the
-    only difference is that every run advances inside one
-    :class:`~repro.batch.sweep.BatchedSweep`.  Its golden must agree
-    with the scalar pipeline's (pinned by ``tests/test_batch_properties``).
+    The grid is :func:`repro.sim.experiment.sweep`'s (seed = mix
+    index); ``batched`` runs it through the cross-run batched engine,
+    whose golden must agree with the scalar pipeline's (pinned by
+    ``tests/test_batch_properties``).
     """
-    from repro.batch.sweep import run_workloads_batched
     from repro.config.machines import STANDARD_MACHINES
+    from repro.sim.experiment import sweep
 
-    machine = STANDARD_MACHINES[machine_name]()
-    by_scheduler = run_workloads_batched(
-        machine,
+    by_scheduler = sweep(
+        STANDARD_MACHINES[machine_name](),
         [names for _, names in mixes],
         _SCHEDULERS,
         instructions=_GOLDEN_INSTRUCTIONS,
+        batched=batched,
     )
     payload: dict[str, Any] = {"machine": machine_name, "runs": {}}
     for scheduler in _SCHEDULERS:
@@ -165,6 +118,11 @@ def _sweep_payload_batched(
     return payload
 
 
+def _pipeline_fig06_1b1s(runs: list[RunResult]) -> dict[str, Any]:
+    """Figure 6 shape at toy scale: three two-program mixes on 1B1S."""
+    return _sweep_payload("1B1S", _FIG06_MIXES, runs)
+
+
 #: The Figure 6 toy mixes, shared by the scalar and batched goldens.
 _FIG06_MIXES = [
     ("HM", ("milc", "povray")),
@@ -175,7 +133,7 @@ _FIG06_MIXES = [
 
 def _pipeline_fig06_batched(runs: list[RunResult]) -> dict[str, Any]:
     """The fig06 pipeline replayed through the batched engine."""
-    return _sweep_payload_batched("1B1S", _FIG06_MIXES, runs)
+    return _sweep_payload("1B1S", _FIG06_MIXES, runs, batched=True)
 
 
 def _pipeline_fig07_2b2s(runs: list[RunResult]) -> dict[str, Any]:
@@ -184,8 +142,7 @@ def _pipeline_fig07_2b2s(runs: list[RunResult]) -> dict[str, Any]:
         ("HHLL", ("milc", "zeusmp", "mcf", "libquantum")),
         ("MMMM", ("gobmk", "bzip2", "hmmer", "sjeng")),
     ]
-    payload, _ = _sweep_payload("2B2S", mixes, runs)
-    return payload
+    return _sweep_payload("2B2S", mixes, runs)
 
 
 def _pipeline_oracle_fig03(runs: list[RunResult]) -> dict[str, Any]:

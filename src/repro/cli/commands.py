@@ -33,6 +33,7 @@ from repro.report import (
 from repro.sched.oracle import best_sser_schedule, best_stp_schedule
 from repro.sim.experiment import (
     SCHEDULER_NAMES,
+    group_by_scheduler,
     make_scheduler,
     run_workload,
     sweep,
@@ -324,9 +325,9 @@ def _campaign_stdout(specs, report) -> str:
     """
     results = report.results
     if all(result is not None for result in results):
-        by_scheduler: dict[str, list] = {}
-        for spec, result in zip(specs, results):
-            by_scheduler.setdefault(spec.scheduler, []).append(result)
+        by_scheduler = group_by_scheduler(
+            specs, results, dict.fromkeys(spec.scheduler for spec in specs)
+        )
         lengths = {len(v) for v in by_scheduler.values()}
         if "random" in by_scheduler and len(lengths) == 1:
             return sweep_summary(by_scheduler)
@@ -356,7 +357,7 @@ def cmd_resume(args) -> int:
         ExecutionEngine,
         FailurePolicy,
         ResumeState,
-        RetryPolicy,
+        run_specs,
     )
 
     try:
@@ -378,63 +379,33 @@ def cmd_resume(args) -> int:
 
     # Resumed events append to the original log by default, so the log
     # stays the single source of truth (and remains resumable again).
-    args.event_log = args.event_log or args.path
-
     # A log written by `repro shard` records its shard count in the
     # plan; resuming re-enters the sharded path unless --shards says
     # otherwise (--shards 1 forces a serial resume).
-    shards = getattr(args, "shards", None) or state.shards or 1
-    if shards > 1:
-        from repro.runtime import ShardCoordinator
-
-        live = [StderrProgressSink()] if args.verbose else []
-        log_sink = JsonlEventSink(args.event_log)
-        coordinator = ShardCoordinator(
-            shards,
+    live = [StderrProgressSink()] if args.verbose else []
+    log_sink = JsonlEventSink(args.event_log or args.path)
+    try:
+        report = run_specs(
+            state.specs,
+            machine=machine,
+            labels=state.labels,
+            store=store,
+            resume_from=state,
+            jobs=_jobs(args),
+            shards=getattr(args, "shards", None) or state.shards or 1,
+            sinks=live,
+            log=log_sink,
+            checks=_checks(args),
             failure_policy=FailurePolicy(state.failure_policy),
             max_attempts=state.max_attempts,
-            checks=bool(_checks(args)),
-            sinks=live,
-            log_sink=log_sink,
-        )
-        try:
-            report = coordinator.run(
-                state.specs,
-                machines=machine,
-                labels=state.labels,
-                store=store,
-                resume_from=state,
-            )
-        except CampaignError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        finally:
-            log_sink.close()
-            _close_sinks(live)
-    else:
-        sinks = _sinks(args, args.verbose)
-        engine = ExecutionEngine(
-            jobs=_jobs(args),
-            retry=RetryPolicy(max_attempts=state.max_attempts,
-                              base_delay_seconds=0.0),
-            failure_policy=FailurePolicy(state.failure_policy),
             timeout_seconds=state.timeout_seconds,
-            sinks=sinks,
-            checks=_checks(args),
         )
-        try:
-            report = engine.run_many(
-                state.specs,
-                machines=machine,
-                labels=state.labels,
-                store=store,
-                resume_from=state,
-            )
-        except CampaignError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        finally:
-            _close_sinks(sinks)
+    except CampaignError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    finally:
+        log_sink.close()
+        _close_sinks(live)
     if report.failures:
         for outcome in report.failures:
             print(f"failed: {outcome.label}: {outcome.error}",
@@ -708,22 +679,21 @@ def cmd_figure(args) -> int:
     from pathlib import Path
 
     from repro.report.figures import render_fig06, render_fig07, render_fig12
-    from repro.runtime import ExecutionEngine
     from repro.sim.campaign import Campaign
 
     workloads = generate_workloads(args.programs)
     campaign = Campaign(Path(args.cache_dir))
     sinks = _sinks(args, getattr(args, "verbose", False))
-    engine = ExecutionEngine(jobs=_jobs(args), sinks=sinks,
-                             checks=_checks(args),
-                             metrics=getattr(args, "metrics", False))
     try:
         results = campaign.sweep(
-            args.machine,
+            machine,
             workloads,
             SCHEDULER_NAMES,
             args.instructions,
-            engine=engine,
+            jobs=_jobs(args),
+            sinks=sinks,
+            checks=_checks(args),
+            metrics=getattr(args, "metrics", False),
         )
     except CampaignError as error:
         print(f"error: {error}", file=sys.stderr)

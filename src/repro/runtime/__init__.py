@@ -3,8 +3,9 @@
 This package is the single execution path for campaigns, sweeps,
 benches and the CLI: it fans independent simulation runs out across
 CPU cores, retries transient worker failures, and narrates progress
-through a structured event stream.  :mod:`repro.runtime.shard` scales
-one level up: a coordinator partitions a campaign's keyspace across
+through a structured event stream.  :func:`run_specs` is the one
+entry point that picks the executor for a campaign.
+:mod:`repro.runtime.shard` scales one level up: a coordinator partitions a campaign's keyspace across
 independent worker processes and merges their stores, logs, and
 metrics back into one deterministic result (``docs/sharding.md``).
 """
@@ -17,6 +18,7 @@ from repro.runtime.engine import (
     Job,
     JobOutcome,
     default_jobs,
+    run_specs,
 )
 from repro.runtime.events import (
     CallbackSink,
@@ -115,6 +117,7 @@ __all__ = [
     "read_events",
     "read_events_merged",
     "replay_timings",
+    "run_specs",
     "run_worker",
     "shard_of",
     "worker_main",

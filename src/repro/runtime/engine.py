@@ -7,7 +7,8 @@ cores.  :class:`ExecutionEngine` fans :class:`~repro.sim.campaign.RunSpec`
 jobs out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
 retries transient worker failures with capped backoff, and narrates
 progress through the structured event stream in
-:mod:`repro.runtime.events`.
+:mod:`repro.runtime.events`.  :func:`run_specs` is the campaign entry
+point: it picks this engine, the batched engine or a shard fleet.
 
 Guarantees:
 
@@ -1285,3 +1286,89 @@ class ExecutionEngine:
             self._record_failure(
                 job, "cancelled (fail-fast abort)", 0, 0.0, outcomes
             )
+
+
+def run_specs(
+    specs: Sequence[RunSpec],
+    *,
+    machine: MachineConfig | Sequence[MachineConfig | None] | None = None,
+    labels: Sequence[str] | None = None,
+    store: "ResultStore | str | Path | None" = None,
+    resume_from: "ResumeState | str | Path | None" = None,
+    jobs: int = 1,
+    shards: int = 1,
+    batched: bool = False,
+    sinks: Sequence[EventSink] = (),
+    log: EventSink | None = None,
+    checks=None,
+    metrics: bool = False,
+    failure_policy: FailurePolicy = FailurePolicy.FAIL_FAST,
+    max_attempts: int = 1,
+    timeout_seconds: float | None = None,
+) -> ExecutionReport:
+    """Run a campaign of specs; the one place that picks an executor.
+
+    ``shards > 1`` drives a :class:`~repro.runtime.shard.ShardCoordinator`
+    fleet, ``batched`` a :class:`~repro.batch.sweep.BatchedExecutionEngine`
+    with ``jobs`` workers, anything else an :class:`ExecutionEngine`.
+    Every executor returns the same results in spec order and writes the
+    same store bytes.  ``machine`` is the single (or, off the fleet,
+    per-spec) machine override; ``log`` is the durable event sink -- the
+    fleet writes its canonical merged stream there, an engine treats it
+    as one more sink.  Sinks stay open: the caller closes them.
+
+    The shard plan can only switch the standard checks on or off, so a
+    fleet refuses any ``checks`` other than
+    :func:`repro.check.default_run_checks`.
+    """
+    if shards > 1:
+        from repro.check import default_run_checks
+        from repro.runtime.shard import ShardCoordinator
+
+        if checks is not None and checks is not default_run_checks:
+            raise ValueError(
+                "a shard fleet runs only default_run_checks; custom "
+                "checks need shards=1"
+            )
+        coordinator = ShardCoordinator(
+            shards,
+            batched=batched,
+            metrics=metrics,
+            checks=checks is not None,
+            failure_policy=failure_policy,
+            max_attempts=max_attempts,
+            timeout_seconds=timeout_seconds,
+            sinks=sinks,
+            log_sink=log,
+        )
+        return coordinator.run(
+            specs,
+            machines=machine,
+            labels=labels,
+            store=store,
+            resume_from=resume_from,
+        )
+    options = dict(
+        failure_policy=failure_policy,
+        sinks=[*sinks, log] if log is not None else sinks,
+        checks=checks,
+        metrics=metrics,
+        timeout_seconds=timeout_seconds,
+    )
+    if max_attempts > 1:
+        options["retry"] = RetryPolicy(
+            max_attempts=max_attempts, base_delay_seconds=0.0
+        )
+    if batched:
+        from repro.batch.sweep import BatchedExecutionEngine
+
+        engine = BatchedExecutionEngine(jobs, **options)
+    else:
+        engine = ExecutionEngine(jobs, **options)
+    return engine.run_many(
+        specs,
+        machines=machine,
+        labels=labels,
+        store=store,
+        resume_from=resume_from,
+    )

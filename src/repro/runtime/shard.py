@@ -751,8 +751,9 @@ class ShardCoordinator:
     shard reports done -- writes the canonically-merged per-shard
     streams plus the final checkpoint and campaign summary.  A worker
     that dies mid-shard (EOF before ``done``) has its unfinished jobs
-    re-run in-process, mirroring the engine's broken-pool fallback, so
-    one lost host degrades throughput, not the campaign.
+    re-run once, in-process, as a remnant plan through
+    :func:`run_worker` -- mirroring the engine's broken-pool fallback,
+    so one lost host degrades throughput, not the campaign.
 
     Args:
         shards: shard count (>= 1).
@@ -824,7 +825,9 @@ class ShardCoordinator:
         self.fault_plan = fault_plan
         self.status = status
         self._trace: obs_context.TraceContext | None = None
-        self._shard_metrics: dict[int, dict | None] = {}
+        #: shard -> metrics snapshots: its worker's ``done`` total, plus
+        #: the delivered jobs' snapshots of a worker that died first.
+        self._shard_metrics: dict[int, list[dict | None]] = {}
 
     # -- emission helpers ---------------------------------------------
 
@@ -843,14 +846,17 @@ class ShardCoordinator:
         into :class:`FleetStatusServer` as its ``metrics_source``."""
         from repro.obs import openmetrics as obs_openmetrics
 
-        snapshot = None
-        if self._shard_metrics:
-            snapshot = obs_metrics.merge_snapshots(
-                self._shard_metrics.get(shard)
-                for shard in sorted(self._shard_metrics)
-            )
+        snapshot = self._merged_metrics() if self._shard_metrics else None
         fleet = self.status.snapshot() if self.status is not None else None
         return obs_openmetrics.render_snapshot(snapshot, fleet=fleet)
+
+    def _merged_metrics(self) -> obs_metrics.RegistrySnapshot:
+        """Fleet total of every shard's snapshots, in shard order."""
+        return obs_metrics.merge_snapshots(
+            snapshot
+            for shard in sorted(self._shard_metrics)
+            for snapshot in self._shard_metrics[shard]
+        )
 
     def _emit_live(self, event: Event) -> None:
         for sink in self.sinks:
@@ -858,57 +864,49 @@ class ShardCoordinator:
 
     # -- plan construction --------------------------------------------
 
-    def _build_plans(
+    def _plan(
         self,
-        owners: Sequence[Sequence[int]],
+        shard: int,
+        indices: Sequence[int],
         specs: Sequence[RunSpec],
         labels: Sequence[str],
         store: ResultStore | None,
         machine_descriptor: dict | None,
-    ) -> dict[int, ShardPlan]:
-        plans: dict[int, ShardPlan] = {}
-        for shard, indices in enumerate(owners):
-            if not indices:
-                continue
-            fail_attempts = sleep_seconds = None
-            if self.fault_plan is not None:
-                local = {g: i for i, g in enumerate(indices)}
-                fail_attempts = {
-                    local[g]: n
-                    for g, n in self.fault_plan.fail_attempts.items()
-                    if g in local
-                } or None
-                sleep_seconds = {
-                    local[g]: s
-                    for g, s in self.fault_plan.sleep_seconds.items()
-                    if g in local
-                } or None
-            plans[shard] = ShardPlan(
-                shard=shard,
-                shards=self.shards,
-                indices=tuple(indices),
-                specs=tuple(specs[i] for i in indices),
-                labels=tuple(labels[i] for i in indices),
-                store=(
-                    str(store.directory) if store is not None else None
-                ),
-                machine=machine_descriptor,
-                batched=self.batched,
-                metrics=self.metrics,
-                checks=self.checks,
-                max_attempts=self.max_attempts,
-                checkpoint_every=self.checkpoint_every,
-                fail_attempts=fail_attempts,
-                sleep_seconds=sleep_seconds,
-                spans=self.spans,
-                timeout_seconds=self.timeout_seconds,
-                trace=(
-                    self._trace.to_dict()
-                    if self._trace is not None
-                    else None
-                ),
-            )
-        return plans
+    ) -> ShardPlan:
+        """The plan running ``specs[indices]`` on ``shard``, with the
+        fault plan re-keyed from global to plan-local job indices."""
+        fail_attempts = sleep_seconds = None
+        if self.fault_plan is not None:
+            local = {g: i for i, g in enumerate(indices)}
+            fail_attempts = {
+                local[g]: n
+                for g, n in self.fault_plan.fail_attempts.items()
+                if g in local
+            } or None
+            sleep_seconds = {
+                local[g]: s
+                for g, s in self.fault_plan.sleep_seconds.items()
+                if g in local
+            } or None
+        return ShardPlan(
+            shard=shard,
+            shards=self.shards,
+            indices=tuple(indices),
+            specs=tuple(specs[i] for i in indices),
+            labels=tuple(labels[i] for i in indices),
+            store=str(store.directory) if store is not None else None,
+            machine=machine_descriptor,
+            batched=self.batched,
+            metrics=self.metrics,
+            checks=self.checks,
+            max_attempts=self.max_attempts,
+            checkpoint_every=self.checkpoint_every,
+            fail_attempts=fail_attempts,
+            sleep_seconds=sleep_seconds,
+            spans=self.spans,
+            timeout_seconds=self.timeout_seconds,
+            trace=self._trace.to_dict() if self._trace is not None else None,
+        )
 
     # -- execution ----------------------------------------------------
 
@@ -978,9 +976,13 @@ class ShardCoordinator:
         )
 
         owners = partition_indices(keys, self.shards)
-        plans = self._build_plans(
-            owners, specs, labels, store, machine_descriptor
-        )
+        plans = {
+            shard: self._plan(
+                shard, indices, specs, labels, store, machine_descriptor
+            )
+            for shard, indices in enumerate(owners)
+            if indices
+        }
         if self.status is None:
             self.status = FleetStatus([len(o) for o in owners])
         status = self.status
@@ -994,15 +996,12 @@ class ShardCoordinator:
                 )
 
         inbox: SimpleQueue = SimpleQueue()
-        transports: dict[int, ShardTransport] = {}
 
         def deliverer(shard: int) -> Callable[[dict | None], None]:
             return lambda message: inbox.put((shard, message))
 
         for shard, plan in plans.items():
-            transport = self.transport_factory()
-            transports[shard] = transport
-            transport.start(plan, deliverer(shard))
+            self.transport_factory().start(plan, deliverer(shard))
 
         streams: dict[int, list[Event]] = {s: [] for s in plans}
         outcomes: dict[int, JobOutcome] = {}
@@ -1013,6 +1012,7 @@ class ShardCoordinator:
         shard_metrics = self._shard_metrics
         shard_errors: dict[int, str] = {}
         done_shards: set[int] = set()
+        recovered: set[int] = set()
         open_shards = set(plans)
         terminal_since_checkpoint = 0
 
@@ -1037,23 +1037,39 @@ class ShardCoordinator:
             shard, message = inbox.get()
             if message is None:
                 open_shards.discard(shard)
-                if shard not in done_shards:
-                    self._recover_shard(
-                        shard,
-                        plans[shard],
-                        shard_errors.get(shard),
-                        specs,
-                        labels,
-                        store,
-                        machines,
-                        outcomes,
-                        streams,
-                        statuses,
-                        shard_metrics,
-                        status,
-                        shard_logs.get(shard),
-                        span_roots,
+                if shard not in done_shards and shard not in recovered:
+                    # A worker that died before reporting done: keep the
+                    # outcomes it delivered and re-run the rest of its
+                    # shard in-process, once, through the same worker
+                    # and message loop (the shared store turns work it
+                    # half did into cache hits).
+                    recovered.add(shard)
+                    done = [g for g in plans[shard].indices if g in outcomes]
+                    missing = [
+                        g for g in plans[shard].indices if g not in outcomes
+                    ]
+                    error = shard_errors.get(shard)
+                    warnings.warn(
+                        f"shard {shard} worker died before reporting done"
+                        + (f" ({error})" if error else "")
+                        + f"; re-running its {len(missing)} unfinished "
+                        "job(s) in-process"
                     )
+                    shard_metrics[shard] = [outcomes[g].metrics for g in done]
+                    if missing:
+                        open_shards.add(shard)
+                        InProcessShardTransport().start(
+                            self._plan(
+                                shard,
+                                missing,
+                                specs,
+                                labels,
+                                store,
+                                machine_descriptor,
+                            ),
+                            deliverer(shard),
+                        )
+                        continue
                 status.mark_finished(shard)
                 continue
             kind = message.get("msg")
@@ -1095,7 +1111,9 @@ class ShardCoordinator:
                 outcomes[outcome.index] = outcome
             elif kind == "done":
                 done_shards.add(shard)
-                shard_metrics[shard] = message.get("metrics")
+                shard_metrics.setdefault(shard, []).append(
+                    message.get("metrics")
+                )
             elif kind == "error":
                 shard_errors[shard] = str(message.get("error"))
             else:
@@ -1131,9 +1149,7 @@ class ShardCoordinator:
             wall_seconds=time.perf_counter() - started,
         )
         if self.metrics:
-            report.metrics = obs_metrics.merge_snapshots(
-                shard_metrics.get(shard) for shard in sorted(plans)
-            )
+            report.metrics = self._merged_metrics()
         if self.spans:
             # Fleet-wide span forest: every shipped SpanSnapshot tree
             # grafted through the commutative fold, so the forest is
@@ -1152,142 +1168,3 @@ class ShardCoordinator:
         if failures and self.failure_policy is FailurePolicy.FAIL_FAST:
             raise CampaignError(report)
         return report
-
-    def _recover_shard(
-        self,
-        shard: int,
-        plan: ShardPlan,
-        error: str | None,
-        specs: Sequence[RunSpec],
-        labels: Sequence[str],
-        store: ResultStore | None,
-        machines: MachineConfig | None,
-        outcomes: dict[int, JobOutcome],
-        streams: dict[int, list[Event]],
-        statuses: dict[str, str],
-        shard_metrics: dict[int, dict | None],
-        status: FleetStatus,
-        shard_log: JsonlEventSink | None,
-        span_roots: list[obs_tracing.SpanNode] | None = None,
-    ) -> None:
-        """Re-run a dead worker's unfinished jobs in-process.
-
-        Jobs whose outcomes already arrived are kept; anything else on
-        the shard (including work the dead worker may have half done
-        -- the shared store makes re-runs cache hits) executes through
-        a local engine so the campaign still completes, deterministic
-        output included.
-        """
-        from repro.runtime.events import CallbackSink
-
-        missing = [g for g in plan.indices if g not in outcomes]
-        warnings.warn(
-            f"shard {shard} worker died before reporting done"
-            + (f" ({error})" if error else "")
-            + f"; re-running its {len(missing)} unfinished job(s) "
-            "in-process"
-        )
-        if not missing:
-            return
-        keys = [spec.key() for spec in specs]
-
-        def absorb(event: Event) -> None:
-            # The local engine numbers this remnant 0..k-1; remap to
-            # the global campaign exactly like a worker would.
-            index = getattr(event, "index", None)
-            if isinstance(index, int) and 0 <= index < len(missing):
-                event = dataclasses.replace(event, index=missing[index])
-            if shard_log is not None:
-                shard_log.emit(event)
-            if isinstance(event, _SHARD_LOCAL_EVENTS):
-                return
-            streams[shard].append(event)
-            status.record_event(shard, event)
-            self._emit_live(event)
-            if (
-                self.spans
-                and span_roots is not None
-                and isinstance(event, SpanSnapshot)
-                and event.spans
-            ):
-                span_roots.append(
-                    obs_tracing.SpanNode.from_dict(event.spans)
-                )
-            if isinstance(event, TERMINAL_EVENTS):
-                if 0 <= event.index < len(keys):
-                    statuses[keys[event.index]] = (
-                        "failed"
-                        if isinstance(event, JobFailed)
-                        else "completed"
-                    )
-
-        checks = None
-        if self.checks:
-            from repro.check import default_run_checks
-
-            checks = default_run_checks
-        kwargs = dict(
-            jobs=1,
-            failure_policy=FailurePolicy.COLLECT,
-            sinks=[CallbackSink(absorb)],
-            checks=checks,
-            metrics=self.metrics,
-            spans=self.spans,
-            checkpoint_every=self.checkpoint_every,
-        )
-        if self.batched:
-            from repro.batch.sweep import BatchedExecutionEngine
-
-            engine = BatchedExecutionEngine(**kwargs)
-        else:
-            fault = None
-            if plan.fail_attempts or plan.sleep_seconds:
-                local = {g: i for i, g in enumerate(plan.indices)}
-                remnant = {g: i for i, g in enumerate(missing)}
-                fault = FaultPlan(
-                    fail_attempts={
-                        remnant[g]: n
-                        for l, n in (plan.fail_attempts or {}).items()
-                        for g in [plan.indices[l]]
-                        if g in remnant
-                    },
-                    sleep_seconds={
-                        remnant[g]: s
-                        for l, s in (plan.sleep_seconds or {}).items()
-                        for g in [plan.indices[l]]
-                        if g in remnant
-                    },
-                )
-                del local
-            engine = ExecutionEngine(
-                retry=RetryPolicy(
-                    max_attempts=self.max_attempts, base_delay_seconds=0.0
-                ),
-                fault_plan=fault,
-                timeout_seconds=self.timeout_seconds,
-                **kwargs,
-            )
-        # The remnant runs under the dead shard's trace context so its
-        # events and postmortems still attribute to that shard.
-        recovery_trace = (
-            dataclasses.replace(self._trace, shard=shard)
-            if self._trace is not None
-            else None
-        )
-        with obs_context.activate(recovery_trace):
-            report = engine.run_many(
-                [specs[g] for g in missing],
-                machines=machines,
-                labels=[labels[g] for g in missing],
-                store=store,
-            )
-        for outcome in report.outcomes:
-            data = outcome.to_dict()
-            data["index"] = missing[outcome.index]
-            outcomes[missing[outcome.index]] = JobOutcome.from_dict(data)
-        if self.metrics and report.metrics is not None:
-            previous = shard_metrics.get(shard)
-            shard_metrics[shard] = obs_metrics.merge_snapshots(
-                [previous, report.metrics]
-            ).to_dict()
-

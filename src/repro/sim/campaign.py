@@ -6,8 +6,7 @@ JSON under the campaign directory the first time it executes;
 re-running the campaign loads cached results, so large sweeps can be
 built up incrementally and analyses re-run cheaply.
 
-Batch execution (:meth:`Campaign.run_all`, :meth:`Campaign.sweep`)
-goes through the :mod:`repro.runtime` engine, so campaigns
+Every run goes through :func:`repro.runtime.run_specs`, so campaigns
 parallelize across CPU cores with ``jobs=N`` and tolerate worker
 failures; cache writes are atomic, and corrupt or partial cache
 entries are treated as misses rather than raising.
@@ -20,17 +19,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.ace.counters import AceCounterMode
 from repro.config.machines import STANDARD_MACHINES, MachineConfig
-from repro.sim.experiment import run_workload
 from repro.sim.results import RunResult
 from repro.workloads.mixes import WorkloadMix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.engine import ExecutionEngine
-    from repro.runtime.store import ResultStore
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,33 @@ class RunSpec:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
+    @staticmethod
+    def machine_fields(machine: MachineConfig) -> dict:
+        """The spec fields whose :meth:`build_machine` rebuilds ``machine``.
+
+        The small-core frequency and sampling fields are filled where
+        they differ from the standard topology's, so distinct machines
+        never share a cache key; a standard machine leaves both
+        ``None``, keeping its key.  A machine that is not a standard
+        topology keeps only its name and needs an override at run time.
+        """
+        fields: dict = {"machine": machine.name}
+        factory = STANDARD_MACHINES.get(machine.name)
+        if factory is not None:
+            standard = factory()
+            if machine.small.frequency_ghz != standard.small.frequency_ghz:
+                fields["small_frequency_ghz"] = machine.small.frequency_ghz
+            sampling = (
+                machine.sampling_period_quanta,
+                machine.sampling_quantum_seconds,
+            )
+            if sampling != (
+                standard.sampling_period_quanta,
+                standard.sampling_quantum_seconds,
+            ):
+                fields["sampling"] = sampling
+        return fields
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
         """Rebuild a spec from its :func:`dataclasses.asdict` form.
@@ -108,7 +129,9 @@ class Campaign:
     The directory is a :class:`repro.runtime.store.ResultStore` --
     one atomically-written ``<spec key>.json`` per completed run, with
     corrupt entries read as misses -- so a campaign directory doubles
-    as the durable half of checkpoint/resume (``repro resume``).
+    as the durable half of checkpoint/resume (``repro resume``).  Every
+    method runs through :func:`repro.runtime.run_specs` with the
+    campaign's store and counts its cache hits and misses.
     """
 
     def __init__(self, directory: str | Path):
@@ -137,115 +160,58 @@ class Campaign:
             spec: the run to execute.
             machine: optional machine override; required when
                 ``spec.machine`` is a custom tag rather than one of
-                the standard topology names.
+                the standard topology names and the run is not cached.
         """
-        key = spec.key()
-        result = self.store.load(key)
-        if result is not None:
-            self.hits += 1
-            return result
-        self.misses += 1
-        if machine is None:
-            machine = spec.build_machine()
-        result = run_workload(
-            machine,
-            spec.benchmarks,
-            spec.scheduler,
-            instructions=spec.instructions,
-            seed=spec.seed,
-            counter_mode=AceCounterMode(spec.counter_mode),
-        )
-        self.store.save(key, result)
-        return result
+        if machine is None and not self.is_cached(spec):
+            # An uncached custom tag has nothing to run on: raise the
+            # ValueError naming the override, not a job failure.
+            spec.build_machine()
+        return self.run_all([spec], machines=machine)[0]
 
     def run_all(
         self,
         specs: Sequence[RunSpec],
         *,
-        jobs: int = 1,
-        engine: "ExecutionEngine | None" = None,
         machines: MachineConfig | Sequence[MachineConfig | None] | None = None,
-        checks=None,
-        batched: bool = False,
+        **options,
     ) -> list[RunResult]:
-        """Execute a batch of specs through the runtime engine.
+        """Execute a batch of specs against the campaign's store.
 
-        Results come back in spec order, identically to running each
-        spec serially.  With the engine's default fail-fast policy a
+        ``options`` are :func:`~repro.runtime.engine.run_specs`'s
+        (``jobs``, ``batched``, ``checks``, ``sinks``, ...).  Results
+        come back in spec order; under the default fail-fast policy a
         permanent job failure raises
-        :class:`~repro.runtime.retry.CampaignError`; under a collect
-        policy, failed entries are ``None``.
-
-        ``checks`` is the engine's opt-in per-result invariant hook
-        (see :func:`repro.check.default_run_checks`); it validates
-        cached and freshly executed results alike.  ``batched``
-        executes cache misses through one cross-run
-        :class:`~repro.batch.sweep.BatchedSweep` instead of per-job
-        scalar simulations (byte-identical results, see
-        ``docs/batching.md``); it is ignored when an explicit
-        ``engine`` is supplied.
+        :class:`~repro.runtime.retry.CampaignError`, under a collect
+        policy failed entries are ``None``.
         """
-        from repro.runtime.engine import ExecutionEngine
+        from repro.runtime.engine import run_specs
 
-        if engine is None:
-            if batched:
-                from repro.batch.sweep import BatchedExecutionEngine
-
-                engine = BatchedExecutionEngine(jobs=jobs, checks=checks)
-            else:
-                engine = ExecutionEngine(jobs=jobs, checks=checks)
-        elif checks is not None and engine.checks is None:
-            engine.checks = checks
-        report = engine.run_many(specs, machines=machines, store=self.store)
+        report = run_specs(specs, machine=machines, store=self.store, **options)
         self.hits += report.cache_hits
         self.misses += report.executed
         return report.results
 
     def sweep(
         self,
-        machine: str,
+        machine: MachineConfig,
         workloads: Sequence[WorkloadMix | Sequence[str]],
         schedulers: Sequence[str],
         instructions: int | None,
-        *,
-        jobs: int = 1,
-        engine: "ExecutionEngine | None" = None,
-        checks=None,
-        batched: bool = False,
-        **overrides,
+        **options,
     ) -> dict[str, list[RunResult]]:
         """Cached equivalent of :func:`repro.sim.experiment.sweep`.
 
-        Extra keyword ``overrides`` become :class:`RunSpec` fields
-        (e.g. ``counter_mode``, ``small_frequency_ghz``); ``jobs`` and
-        ``engine`` control parallel execution, ``checks`` runs the
-        per-result invariant hook on every run, and ``batched``
-        executes the misses through one cross-run
-        :class:`~repro.batch.sweep.BatchedSweep`.
+        Runs the :func:`~repro.sim.experiment.sweep_specs` grid, so a
+        campaign directory and a ``repro sweep --store`` share keys;
+        ``options`` go to :meth:`run_all`.
         """
-        specs = []
-        for index, mix in enumerate(workloads):
-            names = (
-                mix.benchmarks if isinstance(mix, WorkloadMix) else tuple(mix)
-            )
-            for scheduler in schedulers:
-                specs.append(
-                    RunSpec(
-                        machine=machine,
-                        benchmarks=names,
-                        scheduler=scheduler,
-                        instructions=instructions,
-                        seed=index,
-                        **overrides,
-                    )
-                )
-        flat = self.run_all(
-            specs, jobs=jobs, engine=engine, checks=checks, batched=batched
+        from repro.sim.experiment import group_by_scheduler, sweep_specs
+
+        specs, labels = sweep_specs(
+            machine, workloads, schedulers, instructions=instructions
         )
-        results: dict[str, list[RunResult]] = {s: [] for s in schedulers}
-        for spec, result in zip(specs, flat):
-            results[spec.scheduler].append(result)
-        return results
+        results = self.run_all(specs, machines=machine, labels=labels, **options)
+        return group_by_scheduler(specs, results, schedulers)
 
     def clear(self) -> int:
         """Delete every cached result; returns the number removed."""

@@ -91,7 +91,7 @@ def run_workload(
 
 def sweep_specs(
     machine: MachineConfig,
-    workloads: Iterable[WorkloadMix],
+    workloads: Iterable[WorkloadMix | Sequence[str]],
     scheduler_names: Sequence[str] = SCHEDULER_NAMES,
     *,
     instructions: int | None = None,
@@ -100,13 +100,16 @@ def sweep_specs(
     """The sweep's campaign plan: ``(specs, labels)`` in run order.
 
     This is the single definition of how a sweep turns into
-    :class:`~repro.sim.campaign.RunSpec`s, shared by the serial/
-    parallel/batched engine path (:func:`sweep`) and the shard
+    :class:`~repro.sim.campaign.RunSpec`s, shared by :func:`sweep`,
+    :meth:`~repro.sim.campaign.Campaign.sweep` and the shard
     coordinator (``repro shard``), so every execution mode runs the
-    byte-identical campaign.
+    byte-identical campaign.  Each run is seeded with its workload's
+    index, and each spec rebuilds ``machine``
+    (:meth:`~repro.sim.campaign.RunSpec.machine_fields`).
     """
     from repro.sim.campaign import RunSpec
 
+    on_machine = RunSpec.machine_fields(machine)
     specs: list[RunSpec] = []
     labels: list[str] = []
     for index, mix in enumerate(workloads):
@@ -115,7 +118,7 @@ def sweep_specs(
         for name in scheduler_names:
             specs.append(
                 RunSpec(
-                    machine=machine.name,
+                    **on_machine,
                     benchmarks=names,
                     scheduler=name,
                     instructions=instructions,
@@ -125,6 +128,17 @@ def sweep_specs(
             )
             labels.append(f"{category}/{index} {name}")
     return specs, labels
+
+
+def group_by_scheduler(
+    specs: Sequence, results: Sequence[RunResult | None],
+    scheduler_names: Sequence[str],
+) -> dict[str, list[RunResult | None]]:
+    """``{scheduler: [result per workload, in order]}`` of a sweep plan."""
+    grouped: dict[str, list] = {name: [] for name in scheduler_names}
+    for spec, result in zip(specs, results):
+        grouped[spec.scheduler].append(result)
+    return grouped
 
 
 def sweep(
@@ -144,12 +158,15 @@ def sweep(
 ) -> dict[str, list[RunResult]]:
     """Run a workload list under several schedulers.
 
-    Execution goes through the :mod:`repro.runtime` engine: ``jobs``
-    sets the worker-process count (1 = in-process serial), ``sinks``
+    The :func:`sweep_specs` plan runs through
+    :func:`repro.runtime.run_specs`: ``jobs`` sets the worker-process
+    count (1 = in-process serial), ``batched`` runs the whole sweep as
+    one cross-run :class:`~repro.batch.sweep.BatchedSweep`
+    (byte-identical results, see ``docs/batching.md``), ``sinks``
     receive the structured progress-event stream, ``checks`` is the
-    engine's opt-in per-result invariant hook (see
-    :func:`repro.check.default_run_checks`), and ``progress`` is
-    a legacy per-run text callback kept for compatibility.  With
+    opt-in per-result invariant hook (see
+    :func:`repro.check.default_run_checks`), and ``progress`` is a
+    legacy per-run text callback kept for compatibility.  With
     ``metrics``, every job collects a :mod:`repro.obs.metrics`
     registry whose snapshot is emitted as a
     :class:`~repro.runtime.events.MetricsSnapshot` event (aggregate
@@ -162,14 +179,9 @@ def sweep(
     are deterministic: the same specs in the same order regardless of
     ``jobs``.
 
-    ``batched`` executes the whole sweep through one
-    :class:`~repro.batch.sweep.BatchedSweep` (cross-run numpy arrays)
-    instead of per-job scalar simulations; results are byte-identical
-    to the scalar engine's (see ``docs/batching.md``).
-
     Returns ``{scheduler_name: [RunResult per workload, in order]}``.
     """
-    from repro.runtime.engine import ExecutionEngine
+    from repro.runtime.engine import run_specs
     from repro.runtime.events import CallbackSink, JobFinished
 
     specs, labels = sweep_specs(
@@ -190,23 +202,18 @@ def sweep(
 
         sinks.append(CallbackSink(_legacy_line))
 
-    if batched:
-        from repro.batch.sweep import BatchedExecutionEngine
-
-        engine = BatchedExecutionEngine(
-            jobs=jobs, sinks=sinks, checks=checks, metrics=metrics
-        )
-    else:
-        engine = ExecutionEngine(
-            jobs=jobs, sinks=sinks, checks=checks, metrics=metrics
-        )
-    report = engine.run_many(
-        specs, machines=machine, labels=labels, store=store
+    report = run_specs(
+        specs,
+        machine=machine,
+        labels=labels,
+        store=store,
+        jobs=jobs,
+        batched=batched,
+        sinks=sinks,
+        checks=checks,
+        metrics=metrics,
     )
-    results: dict[str, list[RunResult]] = {name: [] for name in scheduler_names}
-    for spec, result in zip(specs, report.results):
-        results[spec.scheduler].append(result)
-    return results
+    return group_by_scheduler(specs, report.results, scheduler_names)
 
 
 def geomean_ratio(

@@ -154,6 +154,28 @@ class TestCommands:
         assert "status" in replay
         assert "108 jobs: 0 executed" in replay and "108 cached" in replay
 
+    def test_figure_simulates_the_small_frequency_machine(
+        self, capsys, tmp_path
+    ):
+        from repro.runtime import CampaignPlan, ResultStore, read_events
+
+        log = tmp_path / "events.jsonl"
+        cache = tmp_path / "cache"
+        base = ["figure", "fig12", "--machine", "1B1S", "--programs", "2",
+                "--instructions", "1000000", "--cache-dir", str(cache)]
+        assert main(base) == 0
+        assert "0 cached runs, 108 simulated" in capsys.readouterr().out
+        # The slow machine shares no run with the default one, and the
+        # specs it caches are the ones fig12 prices power with.
+        assert main([*base, "--small-frequency", "1.33",
+                     "--event-log", str(log)]) == 0
+        assert "0 cached runs, 108 simulated" in capsys.readouterr().out
+        (plan,) = [e for e in read_events(log)
+                   if isinstance(e, CampaignPlan)]
+        assert {s["small_frequency_ghz"] for s in plan.specs} == {1.33}
+        assert set(plan.keys) <= set(ResultStore(cache).keys())
+        assert len(ResultStore(cache)) == 216
+
     def test_events_missing_file(self, capsys):
         assert main(["events", "/nonexistent/events.jsonl"]) == 2
         assert "cannot replay" in capsys.readouterr().err

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch.analysis import STRUCTURE_COLUMNS, analyze_phase_batch
-from repro.batch.sweep import run_workloads_batched
 from repro.config import MemoryConfig, big_core_config, small_core_config
 from repro.config.machines import STANDARD_MACHINES
 from repro.cores import mechanistic
@@ -26,6 +25,7 @@ from repro.cores.mechanistic import (
     analyze_big_phase,
     analyze_small_phase,
 )
+from repro.sim.experiment import sweep
 from repro.workloads.characteristics import (
     InstructionMix,
     PhaseCharacteristics,
@@ -253,8 +253,12 @@ def test_repeated_sweeps_leave_no_model_state_behind():
     refs = []
     for _ in range(3):
         machine = STANDARD_MACHINES["1B1S"]()
-        run_workloads_batched(
-            machine, [("milc", "povray")], ("random",), instructions=200_000
+        sweep(
+            machine,
+            [("milc", "povray")],
+            ("random",),
+            instructions=200_000,
+            batched=True,
         )
         refs += [
             weakref.ref(machine),

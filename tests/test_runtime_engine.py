@@ -262,11 +262,11 @@ class TestCheckHook:
         specs = specs_1b1s(2)
         campaign.run_all(specs)
 
-        engine, events = recording_engine(
-            jobs=1, failure_policy=FailurePolicy.COLLECT
-        )
+        events = []
         again = Campaign(tmp_path)
-        results = again.run_all(specs, engine=engine,
+        results = again.run_all(specs,
+                                failure_policy=FailurePolicy.COLLECT,
+                                sinks=[CallbackSink(events.append)],
                                 checks=_fail_gobmk_mixes)
         assert [r is None for r in results] == [False, False, True, True]
         cached = [e for e in events if isinstance(e, JobCached)]
@@ -474,9 +474,10 @@ class TestEngineCache:
         first = campaign.run_all(specs, jobs=2)
         assert campaign.misses == len(specs) and campaign.hits == 0
 
-        engine, events = recording_engine(jobs=2)
+        events = []
         again = Campaign(tmp_path)
-        second = again.run_all(specs, engine=engine)
+        second = again.run_all(specs, jobs=2,
+                               sinks=[CallbackSink(events.append)])
         assert again.hits == len(specs) and again.misses == 0
         assert canonical(first) == canonical(second)
         assert sum(1 for e in events if isinstance(e, JobCached)) == len(specs)

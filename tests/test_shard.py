@@ -8,6 +8,7 @@ coordinator/worker loop over both transports, dead-worker recovery,
 kill-and-resume, and the merged fleet telemetry.
 """
 
+import dataclasses
 import json
 import socket
 
@@ -39,6 +40,7 @@ from repro.runtime import (
     shard_of,
 )
 from repro.runtime.events import JobFinished, JobStarted
+from repro.runtime import shard as shard_module
 from repro.runtime.shard import _SHARD_LOCAL_EVENTS
 from repro.service.framing import decode_line, encode_line
 from repro.sim.campaign import RunSpec
@@ -69,6 +71,74 @@ def inprocess_coordinator(shards, **kwargs) -> ShardCoordinator:
     return ShardCoordinator(
         shards, transport_factory=InProcessShardTransport, **kwargs
     )
+
+
+def dying_shard(specs) -> int:
+    """A shard of a 2-shard fleet owning at least three of ``specs``."""
+    owners = partition_indices([s.key() for s in specs], 2)
+    shard = max(range(2), key=lambda s: len(owners[s]))
+    assert len(owners[shard]) >= 3
+    return shard
+
+
+def die_after(monkeypatch, shard, *, ship, deaths):
+    """Make ``shard``'s worker ship its first ``ship`` jobs, then die
+    without reporting done -- for its first ``deaths`` plans.  Returns
+    the global indices of every plan that shard's worker receives."""
+    real = shard_module.run_worker
+    plans = []
+
+    def worker(plan, send):
+        if plan.shard != shard:
+            return real(plan, send)
+        plans.append(plan.indices)
+        if len(plans) > deaths:
+            return real(plan, send)
+        head = dataclasses.replace(
+            plan,
+            indices=plan.indices[:ship],
+            specs=plan.specs[:ship],
+            labels=plan.labels[:ship],
+        )
+
+        def forward(message):
+            if message["msg"] != "done":
+                send(message)
+
+        real(head, forward)
+
+    monkeypatch.setattr(shard_module, "run_worker", worker)
+    return plans
+
+
+def counters(snapshot):
+    # Timer series carry wall-clock values; only the deterministic
+    # counters must fold to identical totals.
+    return {
+        json.dumps([entry["name"], entry["labels"]], sort_keys=True):
+            entry["data"]
+        for entry in snapshot.to_dict()["series"]
+        if entry["kind"] == "counter"
+    }
+
+
+def span_counts(node, path=()):
+    path = (*path, node.label)
+    counts = {path: node.count}
+    for child in node.children.values():
+        counts.update(span_counts(child, path))
+    return counts
+
+
+def replayed(events):
+    # Event *order* follows each fleet's wall clock; the replayed
+    # per-job facts may not.
+    from repro.runtime import replay_timings
+
+    return [
+        (t.index, t.label, t.status, t.attempts)
+        for t in replay_timings(events)
+    ]
 
 
 class TestPartition:
@@ -173,8 +243,6 @@ class TestCoordinator:
         assert len(digests) == 1
 
     def test_replayed_log_facts_are_shard_count_invariant(self, tmp_path):
-        from repro.runtime import replay_timings
-
         specs = specs_1b1s(5)
         logs = {}
         for shards in (1, 2, 4):
@@ -186,12 +254,7 @@ class TestCoordinator:
                 )
             finally:
                 sink.close()
-            # Event *order* follows each fleet's wall clock; the
-            # replayed per-job facts may not.
-            logs[shards] = [
-                (t.index, t.label, t.status, t.attempts)
-                for t in replay_timings(read_events(path))
-            ]
+            logs[shards] = replayed(read_events(path))
         assert logs[1] == logs[2] == logs[4]
 
     def test_collect_reports_failures_fail_fast_raises(self, tmp_path):
@@ -218,18 +281,6 @@ class TestCoordinator:
             specs, store=tmp_path / "fleet"
         )
         assert fleet.metrics is not None
-
-        def counters(snapshot):
-            # Timer series carry wall-clock values; only the
-            # deterministic counters must fold to identical totals.
-            return {
-                json.dumps(
-                    [entry["name"], entry["labels"]], sort_keys=True
-                ): entry["data"]
-                for entry in snapshot.to_dict()["series"]
-                if entry["kind"] == "counter"
-            }
-
         assert counters(fleet.metrics) == counters(serial.metrics)
 
     def test_shard_logs_are_standalone_campaign_logs(self, tmp_path):
@@ -294,6 +345,60 @@ class TestCoordinator:
         assert all(o.ok for o in report.outcomes)
         serial = ExecutionEngine().run_many(specs, store=tmp_path / "s2")
         assert canonical(report.results) == canonical(serial.results)
+
+    def test_worker_dying_mid_shard_recovers_like_a_whole_fleet(
+        self, tmp_path, monkeypatch
+    ):
+        specs = specs_1b1s(6)
+        dying = dying_shard(specs)
+        owned = partition_indices([s.key() for s in specs], 2)[dying]
+        # The first remnant job fails once and passes on its retry.
+        fault = FaultPlan(fail_attempts={owned[1]: 1})
+
+        def fleet(name):
+            log = tmp_path / f"{name}.jsonl"
+            sink = JsonlEventSink(log)
+            try:
+                report = inprocess_coordinator(
+                    2, metrics=True, spans=True, max_attempts=2,
+                    fault_plan=fault, log_sink=sink,
+                ).run(specs, store=tmp_path / name)
+            finally:
+                sink.close()
+            return report, read_events(log)
+
+        whole, whole_log = fleet("whole")
+        plans = die_after(monkeypatch, dying, ship=1, deaths=1)
+        with pytest.warns(UserWarning, match="re-running its"):
+            cut, cut_log = fleet("cut")
+        assert plans == [tuple(owned), tuple(owned[1:])]
+
+        def facts(report):
+            return [
+                (o.index, o.label, o.attempts, o.cached, o.error)
+                for o in report.outcomes
+            ]
+
+        assert facts(cut) == facts(whole)
+        assert any(o.attempts == 2 for o in cut.outcomes)
+        assert canonical(cut.results) == canonical(whole.results)
+        assert counters(cut.metrics) == counters(whole.metrics)
+        assert span_counts(cut.spans) == span_counts(whole.spans)
+        assert replayed(cut_log) == replayed(whole_log)
+
+    def test_remnant_that_dies_again_is_not_recovered_twice(
+        self, tmp_path, monkeypatch
+    ):
+        specs = specs_1b1s(6)
+        dying = dying_shard(specs)
+        owned = partition_indices([s.key() for s in specs], 2)[dying]
+        plans = die_after(monkeypatch, dying, ship=1, deaths=99)
+        with pytest.warns(UserWarning, match="died before reporting done"):
+            with pytest.raises(ShardProtocolError, match="no outcome"):
+                inprocess_coordinator(2).run(
+                    specs, store=tmp_path / "store"
+                )
+        assert plans == [tuple(owned), tuple(owned[1:])]
 
     def test_machine_list_rejected(self):
         from repro.config import STANDARD_MACHINES

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.config.machines import STANDARD_MACHINES
 from repro.sim.campaign import Campaign, RunSpec
 from repro.workloads.mixes import WorkloadMix
 
@@ -128,7 +129,10 @@ class TestCampaign:
         campaign = Campaign(tmp_path)
         workloads = [WorkloadMix("MHLM", NAMES)]
         results = campaign.sweep(
-            "2B2S", workloads, ("random", "reliability"), 2_000_000
+            STANDARD_MACHINES["2B2S"](),
+            workloads,
+            ("random", "reliability"),
+            2_000_000,
         )
         assert set(results) == {"random", "reliability"}
         assert len(results["random"]) == 1
